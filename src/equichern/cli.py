@@ -97,7 +97,10 @@ def _load_coefficients(spec, G, q_range, even_only):
 
 def _parse_range(text):
     lo, _, hi = text.partition("..")
-    return int(lo), int(hi)
+    lo, hi = int(lo), int(hi)
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"empty range {text}: need a <= b in a..b")
+    return lo, hi
 
 
 def _emit(args, text_lines, json_obj):

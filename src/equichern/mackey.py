@@ -29,7 +29,7 @@ from .groups import (
     subgroup_conjugacy_classes,
     parse_subgroup_literal,
 )
-from .qlinalg import GroupAction, RationalMatrix, coords_in_basis, vstack
+from .qlinalg import GroupAction, RationalMatrix, restrict_action_to_subspace, vstack
 
 
 class MackeyError(ValueError):
@@ -391,13 +391,7 @@ def T_H_of_mackey(M, H):
     big = vstack(stack) if stack else RationalMatrix.zero(0, n)
     kernel = big.kernel_basis()
     basis = RationalMatrix.from_columns(kernel, dim=n)
-    W = M.classes.classes[j].weyl.group
-    mats = []
-    for w in range(W.order):
-        mw = M.weyl_matrix(j, w)
-        cols = [coords_in_basis(basis, mw.apply(basis.column(i))) for i in range(basis.cols)]
-        mats.append(RationalMatrix.from_columns(cols, dim=basis.cols))
-    part = TPart(j, GroupAction(W, basis.cols, tuple(mats)), basis)
+    part = TPart(j, restrict_action_to_subspace(M.weyl_action(j), basis), basis)
     M._cache[key] = part
     return part
 

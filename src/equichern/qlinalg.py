@@ -3,6 +3,10 @@
 Everything is built on `fractions.Fraction`; floating point is forbidden
 repository-wide.  Pivots are chosen first-nonzero in row-major order, so all
 reported bases are echelon-canonical and deterministic.
+
+The kernels (`mul`, `rref`, `apply`, `add`) skip structural zeros: they do
+arithmetic only on nonzero entries.  Because the arithmetic is exact, results,
+pivots and bases are the same as those of the dense loops.
 """
 
 from __future__ import annotations
@@ -84,14 +88,19 @@ class RationalMatrix:
         return all(x == 0 for row in self.data for x in row)
 
     def is_identity(self):
-        return self.rows == self.cols and self == RationalMatrix.identity(self.rows)
+        return self.rows == self.cols and all(
+            x == (1 if i == j else 0) for i, row in enumerate(self.data) for j, x in enumerate(row)
+        )
 
     def add(self, other):
         self._check_same_shape(other)
         return RationalMatrix(
             self.rows,
             self.cols,
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
+            [
+                [(a + b) if a and b else (a or b) for a, b in zip(r1, r2)]
+                for r1, r2 in zip(self.data, other.data)
+            ],
         )
 
     def sub(self, other):
@@ -104,18 +113,26 @@ class RationalMatrix:
     def mul(self, other):
         if self.cols != other.rows:
             raise LinAlgError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        ot = list(zip(*other.data)) if other.data else [()] * other.cols
+        zero = Fraction(0)
+        # nonzero (col, value) pairs of each row of the right factor
+        sparse = [[(j, b) for j, b in enumerate(row) if b] for row in other.data]
         out = []
         for row in self.data:
-            out.append([sum(a * b for a, b in zip(row, col)) for col in ot])
-        if other.cols == 0:
-            out = [[] for _ in range(self.rows)]
+            acc = {}
+            for a, srow in zip(row, sparse):
+                if a:
+                    for j, b in srow:
+                        t = a * b
+                        acc[j] = acc[j] + t if j in acc else t
+            out.append([acc.get(j, zero) for j in range(other.cols)])
         return RationalMatrix(self.rows, other.cols, out)
 
     def apply(self, vec):
         if len(vec) != self.cols:
             raise LinAlgError("vector length mismatch")
-        return tuple(sum(a * _frac(b) for a, b in zip(row, vec)) for row in self.data)
+        vec = [_frac(b) for b in vec]
+        zero = Fraction(0)
+        return tuple(sum((a * b for a, b in zip(row, vec) if a and b), zero) for row in self.data)
 
     def transpose(self):
         data = [[self.data[r][c] for r in range(self.rows)] for c in range(self.cols)]
@@ -141,12 +158,19 @@ class RationalMatrix:
             if pivot_row is None:
                 continue
             m[r], m[pivot_row] = m[pivot_row], m[r]
-            pv = m[r][c]
-            m[r] = [x / pv for x in m[r]]
+            prow = m[r]
+            # the pivot row is zero left of c
+            nz = [k for k in range(c, self.cols) if prow[k]]
+            pv = prow[c]
+            if pv != 1:
+                for k in nz:
+                    prow[k] = prow[k] / pv
             for i in range(self.rows):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+                row = m[i]
+                if i != r and row[c] != 0:
+                    f = row[c]
+                    for k in nz:
+                        row[k] = row[k] - f * prow[k]
             pivots.append(c)
             r += 1
             if r == self.rows:

@@ -138,6 +138,49 @@ def brute_rank(rows):
     return rank
 
 
+def _frozen(out):
+    return tuple(tuple(Fraction(x) for x in row) for row in out)
+
+
+def dense_mul(a, b):
+    """(rows, cols, data) of a.b by the dense loop over every entry."""
+    ot = list(zip(*b.data)) if b.data else [()] * b.cols
+    out = []
+    for row in a.data:
+        out.append([sum(x * y for x, y in zip(row, col)) for col in ot])
+    if b.cols == 0:
+        out = [[] for _ in range(a.rows)]
+    return a.rows, b.cols, _frozen(out)
+
+
+def dense_rref(a):
+    """(reduced row echelon data, pivot columns) by dense Gauss-Jordan
+    elimination with first-nonzero pivots in row-major order."""
+    m = [list(row) for row in a.data]
+    pivots = []
+    r = 0
+    for c in range(a.cols):
+        pivot_row = None
+        for i in range(r, a.rows):
+            if m[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(a.rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == a.rows:
+            break
+    return _frozen(m), tuple(pivots)
+
+
 def quotient_cw_homology_dims(X, H_elems):
     """Homology dims of C_G(H) \\ X^H computed from raw fixed-point cells.
 

@@ -224,6 +224,17 @@ def test_chern_even_periodic_q_range(capsys):
     assert "n=2 bredon=3 chern-target=3 ok" in out
 
 
+@pytest.mark.parametrize("flag,text", [("--n-range", "1..0"), ("--q-range", "2..1")])
+def test_chern_rejects_empty_range(capsys, flag, text):
+    with pytest.raises(SystemExit) as exc:
+        main(["chern", "--group", "s3", "--space", "point", "--coeff", "burnside", f"{flag}={text}"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"empty range {text}" in captured.err
+    assert flag in captured.err
+
+
 def test_selftest_quick(capsys):
     code, out, _ = run(capsys, "selftest", "--quick")
     assert code == 0

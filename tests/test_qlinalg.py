@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -50,6 +51,58 @@ def test_rank_nullity_random():
             assert all(x == 0 for x in m.apply(v))
         assert len(m.image_basis()) == m.rank()
         assert len(m.cokernel_basis()) == r - m.rank()
+
+
+def _random_matrix(rng, rows, cols, density):
+    def entry():
+        if rng.random() >= density:
+            return 0
+        return Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4))
+
+    return RationalMatrix(rows, cols, [[entry() for _ in range(cols)] for _ in range(rows)])
+
+
+def _assert_fractions(data):
+    assert all(type(x) is Fraction for row in data for x in row)
+
+
+def test_sparse_kernels_match_dense_oracles():
+    rng = random.Random(11)
+    shapes = [(0, 3), (3, 0), (0, 0), (1, 1)]
+    shapes += [(rng.randint(1, 7), rng.randint(1, 7)) for _ in range(40)]
+    for density in (0, 0.05, 0.3, 1):
+        for rows, cols in shapes:
+            a = _random_matrix(rng, rows, cols, density)
+            # rank <= 2 products exercise elimination against dependent rows
+            low = _random_matrix(rng, rows, 2, density).mul(_random_matrix(rng, 2, cols, density))
+            for m in (a, low):
+                R, pivots = m.rref()
+                assert (R.data, pivots) == oracles.dense_rref(m)
+                _assert_fractions(R.data)
+            for inner in (0, 1, rng.randint(2, 6)):
+                left = _random_matrix(rng, rows, inner, density)
+                right = _random_matrix(rng, inner, cols, density)
+                prod = left.mul(right)
+                assert (prod.rows, prod.cols, prod.data) == oracles.dense_mul(left, right)
+                _assert_fractions(prod.data)
+            b = _random_matrix(rng, rows, cols, density)
+            total = a.add(b)
+            assert total.data == tuple(
+                tuple(x + y for x, y in zip(r1, r2)) for r1, r2 in zip(a.data, b.data)
+            )
+            _assert_fractions(total.data)
+            vec = [rng.randint(-2, 2) for _ in range(cols)]
+            image = a.apply(vec)
+            assert image == tuple(sum(x * y for x, y in zip(row, vec)) for row in a.data)
+            _assert_fractions([image])
+
+
+def test_is_identity():
+    assert RationalMatrix.identity(3).is_identity()
+    assert RationalMatrix.identity(0).is_identity()
+    assert not M([[1, 0], [0, 2]]).is_identity()
+    assert not M([[1, 1], [0, 1]]).is_identity()
+    assert not M([[1, 0, 0], [0, 1, 0]]).is_identity()
 
 
 def test_solve():
