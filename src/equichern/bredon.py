@@ -27,8 +27,9 @@ from .mackey import T_H_of_mackey, mackey_to_sub_module
 from .qlinalg import (
     RationalMatrix,
     block_matrix,
+    complement_in,
     equivariant_hom_dim,
-    hstack,
+    induced_map,
 )
 
 
@@ -123,31 +124,21 @@ def bredon_cohomology(X, Mcat):
         if p <= top - 1:
             kernel = cx.deltas[p].kernel_basis()
         else:
-            kernel = tuple(
-                tuple(Fraction(1 if i == j else 0) for i in range(n_p))
-                for j in range(n_p)
-            )
+            kernel = RationalMatrix.identity(n_p).columns()
         if p >= 1:
             image = RationalMatrix.from_columns(
                 cx.deltas[p - 1].image_basis(), dim=n_p
             )
         else:
             image = RationalMatrix.zero(n_p, 0)
-        chosen = []
-        current = image
-        for v in kernel:
-            candidate = hstack([current, RationalMatrix.from_columns([v], dim=n_p)])
-            if candidate.rank() > current.rank():
-                chosen.append(v)
-                current = candidate
-        reps = RationalMatrix.from_columns(chosen, dim=n_p)
+        reps = RationalMatrix.from_columns(complement_in(image, kernel, n_p), dim=n_p)
         dims.append(reps.cols)
         reps_all.append(reps)
     return CohomologyData(tuple(dims), tuple(reps_all), cx)
 
 
 def _cohomology_cached(X, M):
-    key = ("bredon_cohomology", M.token)
+    key = ("bredon_cohomology", M)
     if key not in X._cache:
         X._cache[key] = bredon_cohomology(X, mackey_to_sub_module(M))
     return X._cache[key]
@@ -230,23 +221,14 @@ def homology_module(X, p, perturb=None):
         if d_p is not None:
             kernel = d_p.components[r].kernel_basis()
         else:
-            kernel = tuple(
-                tuple(Fraction(1 if i == j else 0) for i in range(n_r))
-                for j in range(n_r)
-            )
+            kernel = RationalMatrix.identity(n_r).columns()
         if d_next is not None:
             image = RationalMatrix.from_columns(
                 d_next.components[r].image_basis(), dim=n_r
             )
         else:
             image = RationalMatrix.zero(n_r, 0)
-        chosen = []
-        current = image
-        for v in kernel:
-            cand = hstack([current, RationalMatrix.from_columns([v], dim=n_r)])
-            if cand.rank() > current.rank():
-                chosen.append(list(v))
-                current = cand
+        chosen = [list(v) for v in complement_in(image, kernel, n_r)]
         if perturb is not None and image.cols:
             for vec in chosen:
                 for j in range(image.cols):
@@ -258,16 +240,10 @@ def homology_module(X, p, perturb=None):
         reps_per_obj.append(reps)
         images.append(image)
     dims = tuple(r.cols for r in reps_per_obj)
-    maps = {}
-    for f in cat.all_mors():
-        x, y = f.src, f.dst
-        full = hstack([reps_per_obj[x], images[x]])
-        cols = []
-        for j in range(reps_per_obj[y].cols):
-            moved = chain_p.maps[f].apply(reps_per_obj[y].column(j))
-            sol = full.solve(moved)
-            cols.append(sol[: reps_per_obj[x].cols])
-        maps[f] = RationalMatrix.from_columns(cols, dim=dims[x])
+    maps = {
+        f: induced_map(chain_p.maps[f], reps_per_obj[f.dst], reps_per_obj[f.src], images[f.src])
+        for f in cat.all_mors()
+    }
     module = CatModule(cat, dims, maps, name=f"H_{p}({X.name})").validate()
     return module, reps_per_obj
 
@@ -416,10 +392,12 @@ class BredonReport:
     coefficients: str
     entries: tuple
     totals: dict  # n -> dim
+    header: str = "bredon"
 
     def lines(self):
         out = [
-            f"bredon group={self.group} space={self.space} coeff={self.coefficients}"
+            f"{self.header} group={self.group} space={self.space} "
+            f"coeff={self.coefficients}"
         ]
         out.extend(e.record() for e in self.entries)
         for n in sorted(self.totals):
@@ -448,19 +426,6 @@ class BredonReport:
             indent=2,
             sort_keys=True,
         )
-
-
-@dataclass
-class ChernTargetReport(BredonReport):
-    def lines(self):
-        out = [
-            f"chern-target group={self.group} space={self.space} "
-            f"coeff={self.coefficients}"
-        ]
-        out.extend(e.record() for e in self.entries)
-        for n in sorted(self.totals):
-            out.append(f"total n={n} dim={self.totals[n]}")
-        return out
 
 
 def parse_records(text):
@@ -547,12 +512,13 @@ def chern_report(X, coeffs, n_range):
         es, total = chern_target(X, coeffs, n)
         entries.extend(es)
         totals[n] = total
-    return ChernTargetReport(
+    return BredonReport(
         group=X.group.name,
         space=X.name,
         coefficients=coeffs.name,
         entries=tuple(entries),
         totals=totals,
+        header="chern-target",
     )
 
 
@@ -574,7 +540,7 @@ class CollapseReport:
     coefficients: str
     rows: tuple
     left: BredonReport
-    right: ChernTargetReport
+    right: BredonReport
 
     def passed(self):
         return all(r.ok for r in self.rows)

@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from . import data as bundled
-from .bredon import CoefficientSystem, bredon_report, verify_collapse
+from .bredon import CoefficientSystem, CollapseRow, bredon_report, verify_collapse
 from .chartab import ChartabError, parse_character_table, validate_table
 from .cyclotomic import CyclotomicError
 from .eicat import CategoryError, build_or_category, build_sub_category
@@ -192,8 +192,6 @@ def cmd_chern(args):
     report = verify_collapse(X, coeffs, n_range)
     if args.inject_fault:
         # test hook: corrupt one side to exercise the mismatch path
-        from .bredon import CollapseRow
-
         rows = list(report.rows)
         rows[-1] = CollapseRow(rows[-1].n, rows[-1].left + 1, rows[-1].right)
         report.rows = tuple(rows)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from importlib import resources
 
+from .chartab import parse_character_table
 from .groups import parse_group
 
 _GROUPS = ("z2", "z3", "z4", "z5", "z6", "z7", "z8", "s3", "d4", "q8", "a4", "s4")
@@ -50,8 +51,6 @@ def bundled_chartab_text(name):
 
 def bundled_chartabs():
     """The bundled standalone character tables (parsed and validated)."""
-    from .chartab import parse_character_table
-
     out = []
     for name in _CHARTABS:
         G = bundled_group(name)

@@ -18,14 +18,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .groups import FiniteGroup, subgroup_conjugacy_classes
+from .groups import FiniteGroup, centralizer, subgroup_conjugacy_classes
 from .qlinalg import (
     GroupAction,
     RationalMatrix,
+    block_matrix,
     hstack,
-    vstack,
+    induced_map,
+    restrict_action_to_subspace,
     subgroup_invariants,
-    coords_in_basis,
+    vstack,
 )
 
 
@@ -45,8 +47,6 @@ class Mor:
 def _cached_centralizer(G, sub):
     key = ("centralizer", sub.elems)
     if key not in G._cache:
-        from .groups import centralizer
-
         G._cache[key] = centralizer(G, sub)
     return G._cache[key]
 
@@ -418,8 +418,6 @@ def direct_sum(modules):
         blocks = {}
         for k, m in enumerate(modules):
             blocks[(k, k)] = m.maps[f]
-        from .qlinalg import block_matrix
-
         maps[f] = block_matrix(
             blocks,
             [m.dims[f.src] for m in modules],
@@ -503,13 +501,8 @@ def splitting_T(M, c):
     basis = RationalMatrix.from_columns(kernel, dim=n)
     aut = cat.aut(c)
     W = aut.group
-    mats = []
-    for w in range(W.order):
-        rho_w = M.maps[aut.mor_of[W.inv(w)]]
-        cols = [coords_in_basis(basis, rho_w.apply(basis.column(j))) for j in range(basis.cols)]
-        mats.append(RationalMatrix.from_columns(cols, dim=basis.cols))
-    action = GroupAction(W, basis.cols, tuple(mats))
-    return TSplitting(c, action, basis)
+    rho = GroupAction(W, n, tuple(M.maps[aut.mor_of[W.inv(w)]] for w in range(W.order)))
+    return TSplitting(c, restrict_action_to_subspace(rho, basis), basis)
 
 
 def splitting_S(M, c):
@@ -524,19 +517,12 @@ def splitting_S(M, c):
     combined = hstack(pieces) if pieces else RationalMatrix.zero(n, 0)
     image = RationalMatrix.from_columns(combined.image_basis(), dim=n)
     reps = RationalMatrix.from_columns(combined.cokernel_basis(), dim=n)
-    full = hstack([reps, image]) if (reps.cols + image.cols) else RationalMatrix.zero(n, 0)
     aut = cat.aut(c)
     W = aut.group
-    mats = []
-    for w in range(W.order):
-        rho_w = M.maps[aut.mor_of[W.inv(w)]]
-        cols = []
-        for j in range(reps.cols):
-            sol = coords_in_basis(full, rho_w.apply(reps.column(j)))
-            cols.append(sol[: reps.cols])
-        mats.append(RationalMatrix.from_columns(cols, dim=reps.cols))
-    action = GroupAction(W, reps.cols, tuple(mats))
-    return SSplitting(c, action, reps, image)
+    mats = tuple(
+        induced_map(M.maps[aut.mor_of[W.inv(w)]], reps, reps, image) for w in range(W.order)
+    )
+    return SSplitting(c, GroupAction(W, reps.cols, mats), reps, image)
 
 
 @dataclass
@@ -629,7 +615,7 @@ class Coinduction:
             rw = V.mats[w]
             for j in range(dst_info.basis.cols):
                 vec = rw.apply(dst_info.basis.column(j))
-                coords = coords_in_basis(info.basis, vec)
+                coords = info.basis.solve(vec)
                 for i, val in enumerate(coords):
                     data[roff + i][dst_offsets[o_idx] + j] = val
             roff += info.basis.cols
@@ -642,7 +628,7 @@ class Coinduction:
         blocks = []
         for info in infos:
             base = rho.mul(M.maps[info.rep])  # M(x) -> V
-            cols = [coords_in_basis(info.basis, base.column(j)) for j in range(M.dims[x])]
+            cols = [info.basis.solve(base.column(j)) for j in range(M.dims[x])]
             blocks.append(RationalMatrix.from_columns(cols, dim=info.basis.cols))
         if blocks:
             return vstack(blocks)
@@ -722,7 +708,7 @@ class Induction:
             rw_inv = V.mats[W.inv(w)]
             for j in range(dst_info.basis.cols):
                 vec = P.apply(rw_inv.apply(dst_info.basis.column(j)))
-                coords = coords_in_basis(src_info.basis, vec)
+                coords = src_info.basis.solve(vec)
                 for i, val in enumerate(coords):
                     data[src_offsets[o_idx] + i][coff + j] = val
             coff += dst_info.basis.cols
@@ -876,121 +862,3 @@ def check_splitting_identities(cat, c, d, V):
             f"expected zero, got dims S={s.action.dim}, T={t.action.dim}"
         )
     return SplittingIdentityReport(c, d, s_char, t_char, v_char, ok, detail)
-
-
-# randomized inputs for property tests
-
-def _random_unimodular(rng, n, steps=4):
-    m = RationalMatrix.identity(n)
-    for _ in range(steps):
-        i, j = rng.randrange(n), rng.randrange(n)
-        if i == j:
-            continue
-        c = rng.choice([-2, -1, 1, 2])
-        data = [list(row) for row in m.data]
-        for col in range(n):
-            data[i][col] += c * data[j][col]
-        m = RationalMatrix(n, n, data)
-    return m
-
-
-def random_action(W, rng, max_blocks=2):
-    """A random exact Q-representation: permutation modules twisted by a unimodular."""
-    from .groups import enumerate_subgroups
-
-    subs = enumerate_subgroups(W)
-    blocks = []
-    for _ in range(rng.randint(1, max_blocks)):
-        U = rng.choice(subs)
-        # permutation action on cosets of U
-        cosets = {}
-        for g in range(W.order):
-            key = min(W.mul(g, u) for u in U.elems)
-            cosets.setdefault(key, []).append(g)
-        reps = sorted(cosets)
-        index = {r: i for i, r in enumerate(reps)}
-
-        def to_rep(g):
-            return min(W.mul(g, u) for u in U.elems)
-
-        mats = []
-        for w in range(W.order):
-            mat = [[Fraction(0)] * len(reps) for _ in range(len(reps))]
-            for i, r in enumerate(reps):
-                mat[index[to_rep(W.mul(w, r))]][i] = Fraction(1)
-            mats.append(RationalMatrix(len(reps), len(reps), mat))
-        blocks.append(mats)
-    dim = sum(len(b[0].data) for b in blocks)
-    mats = []
-    for w in range(W.order):
-        blk = {}
-        for k, b in enumerate(blocks):
-            blk[(k, k)] = b[w]
-        from .qlinalg import block_matrix
-
-        mats.append(
-            block_matrix(blk, [b[0].rows for b in blocks], [b[0].rows for b in blocks])
-        )
-    U = _random_unimodular(rng, dim)
-    # exact inverse via solving
-    cols = [U.solve(tuple(1 if i == j else 0 for i in range(dim))) for j in range(dim)]
-    U_inv = RationalMatrix.from_columns(cols, dim=dim)
-    mats = tuple(U_inv.mul(m).mul(U) for m in mats)
-    return GroupAction(W, dim, mats)
-
-
-def image_module(phi):
-    """The image of a natural transformation, as a submodule of the target."""
-    cat = phi.cat
-    nobj = len(cat.objects)
-    bases = []
-    for x in range(nobj):
-        img = phi.components[x].image_basis()
-        bases.append(RationalMatrix.from_columns(img, dim=phi.target.dims[x]))
-    dims = tuple(b.cols for b in bases)
-    maps = {}
-    for f in cat.all_mors():
-        x, y = f.src, f.dst
-        Nf = phi.target.maps[f]
-        cols = [
-            coords_in_basis(bases[x], Nf.apply(bases[y].column(j)))
-            for j in range(bases[y].cols)
-        ]
-        maps[f] = RationalMatrix.from_columns(cols, dim=dims[x])
-    return CatModule(cat, dims, maps, name="im")
-
-
-def random_module(cat, rng, max_dim=2):
-    """A random small module: image of a random map between canonical modules.
-
-    Sources mix frees and inductions, targets mix frees and coinductions, so
-    the images are generally neither projective nor injective.
-    """
-    nobj = len(cat.objects)
-
-    def random_piece(kind):
-        c = rng.randrange(nobj)
-        if kind == "free" or rng.random() < 0.3:
-            return free_module(cat, c)
-        V = random_action(cat.aut(c).group, rng, max_blocks=1)
-        if kind == "ind":
-            return Induction(cat, c, V).module
-        return Coinduction(cat, c, V).module
-
-    src = random_piece(rng.choice(["free", "ind"]))
-    tgt = random_piece(rng.choice(["free", "coind"]))
-    homs = hom_over_category(src, tgt)
-    if not homs:
-        return tgt if rng.random() < 0.5 else src
-    coeffs = [rng.randint(-2, 2) for _ in homs]
-    if all(c == 0 for c in coeffs):
-        coeffs[rng.randrange(len(coeffs))] = 1
-    comps = []
-    for x in range(nobj):
-        acc = RationalMatrix.zero(tgt.dims[x], src.dims[x])
-        for c, h in zip(coeffs, homs):
-            if c:
-                acc = acc.add(h.components[x].scale(c))
-        comps.append(acc)
-    phi = CatModuleMap(src, tgt, tuple(comps))
-    return image_module(phi)

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .data import bundled_group, bundled_space_text
 from .eicat import (
     build_sub_category,
     or_canon_raw,
@@ -25,7 +26,7 @@ from .groups import (
     parse_subgroup_literal,
     subgroup_conjugacy_classes,
 )
-from .qlinalg import GroupAction, RationalMatrix
+from .qlinalg import GroupAction, RationalMatrix, complement_in, induced_map
 
 
 class GcwError(ValueError):
@@ -252,58 +253,32 @@ class GradedHomology:
 def homology_with_action(C):
     """H_p = ker d_p / im d_{p+1}, with the induced action on chosen cycles."""
     top = len(C.dims) - 1
-    dims = []
     reps_all = []
     actions = []
-    characters = []
     for p in range(top + 1):
         n_p = C.dims[p]
-        kernel = (
-            C.boundaries[p].kernel_basis()
-            if p >= 1
-            else tuple(
-                tuple(Fraction(1 if i == j else 0) for i in range(n_p))
-                for j in range(n_p)
-            )
-        )
+        if p >= 1:
+            kernel = C.boundaries[p].kernel_basis()
+        else:
+            kernel = RationalMatrix.identity(n_p).columns()
         if p + 1 <= top:
             image = RationalMatrix.from_columns(
                 C.boundaries[p + 1].image_basis(), dim=n_p
             )
         else:
             image = RationalMatrix.zero(n_p, 0)
-        # pick kernel vectors extending the image to a basis of the cycles
-        chosen = []
-        from .qlinalg import hstack
-
-        current = image
-        for v in kernel:
-            candidate = hstack([current, RationalMatrix.from_columns([v], dim=n_p)])
-            if candidate.rank() > current.rank():
-                chosen.append(v)
-                current = candidate
-        reps = RationalMatrix.from_columns(chosen, dim=n_p)
-        dims.append(reps.cols)
+        reps = RationalMatrix.from_columns(complement_in(image, kernel, n_p), dim=n_p)
         reps_all.append(reps)
         if C.actions is not None:
-            W = C.actions[p].group
-            full = hstack([reps, image]) if n_p else RationalMatrix.zero(0, 0)
-            mats = []
-            for w in range(W.order):
-                cols = []
-                for j in range(reps.cols):
-                    moved = C.actions[p].mats[w].apply(reps.column(j))
-                    sol = full.solve(moved)
-                    cols.append(sol[: reps.cols])
-                mats.append(RationalMatrix.from_columns(cols, dim=reps.cols))
-            act = GroupAction(W, reps.cols, tuple(mats))
-            actions.append(act)
-            characters.append(act.character())
+            act = C.actions[p]
+            mats = tuple(induced_map(m, reps, reps, image) for m in act.mats)
+            actions.append(GroupAction(act.group, reps.cols, mats))
+    has_action = C.actions is not None
     return GradedHomology(
-        dims=tuple(dims),
+        dims=tuple(r.cols for r in reps_all),
         reps=tuple(reps_all),
-        actions=tuple(actions) if C.actions is not None else None,
-        characters=tuple(characters) if C.actions is not None else None,
+        actions=tuple(actions) if has_action else None,
+        characters=tuple(a.character() for a in actions) if has_action else None,
     )
 
 
@@ -478,8 +453,6 @@ def format_gcw(X):
 
 def builtin_examples(name, G=None, H=None):
     """Bundled and parametric example complexes."""
-    from .data import bundled_group, bundled_space_text
-
     if name == "point":
         if G is None:
             raise GcwError("point requires a group")

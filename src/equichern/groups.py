@@ -8,6 +8,7 @@ report fixtures) are byte-stable.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from math import gcd
 
@@ -239,8 +240,6 @@ def subgroup_count_oracle(G):
     found = {(0,)}
     elems = list(range(G.order))
     k = 1
-    import itertools
-
     while True:
         before = len(found)
         for combo in itertools.combinations(elems, k):

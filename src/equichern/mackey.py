@@ -18,13 +18,15 @@ from fractions import Fraction
 
 from .chartab import character_table_for_subgroup
 from .cyclotomic import Cyclotomic
-from .eicat import build_sub_category, nu_map
+from .data import bundled_chartabs
+from .eicat import CatModule, _cached_centralizer, build_sub_category, nu_map
 from .groups import (
     as_group,
     conjugate_subgroup,
     double_cosets,
     element_conjugacy_classes,
     enumerate_subgroups,
+    normalizer,
     subgroup,
     subgroup_conjugacy_classes,
     parse_subgroup_literal,
@@ -34,15 +36,6 @@ from .qlinalg import GroupAction, RationalMatrix, restrict_action_to_subspace, v
 
 class MackeyError(ValueError):
     pass
-
-
-_token_counter = 0
-
-
-def _next_token():
-    global _token_counter
-    _token_counter += 1
-    return _token_counter
 
 
 class MackeyFunctor:
@@ -70,7 +63,6 @@ class MackeyFunctor:
         self._res = {}
         self._ind = {}
         self._cache = {}
-        self.token = _next_token()  # stable identity for cross-object caches
 
     # canonical data accessors
 
@@ -331,8 +323,6 @@ def mackey_to_sub_module(M):
     key = ("sub_module",)
     if key in M._cache:
         return M._cache[key]
-    from .eicat import CatModule
-
     cat = build_sub_category(M.group)
     G = M.group
     maps = {}
@@ -342,8 +332,6 @@ def mackey_to_sub_module(M):
         mat = M.res(f.rep, src, dst)
         # well-definedness: every representative of the double coset
         # dst * rep * C_G(src) must induce the same matrix
-        from .eicat import _cached_centralizer
-
         C = _cached_centralizer(G, src)
         seen = set()
         for k in dst.elems:
@@ -447,8 +435,6 @@ def mu_H_check(M, H):
         for o_idx, info in enumerate(coind.orbit_data[h_idx]):
             f = info.rep  # Mor(k_idx, h_idx, g)
             img = conjugate_subgroup(G, f.rep, rep_k)
-            from .groups import normalizer
-
             n_img = normalizer(G, img)
             # the diagonal block of nu(H) . mu(H) is d * id with d the number
             # of qualifying double cosets im(f)\N_H(im(f))/im(f), i.e. the
@@ -644,8 +630,6 @@ def burnside_mackey(G):
 def repring_mackey(G, tables=None):
     """R(H) tensor Q in the irreducible-character bases of the class tables."""
     if tables is None:
-        from .data import bundled_chartabs
-
         tables = bundled_chartabs()
     ct = subgroup_conjugacy_classes(G)
     reps = [c.rep for c in ct.classes]

@@ -7,6 +7,12 @@ reported bases are echelon-canonical and deterministic.
 The kernels (`mul`, `rref`, `apply`, `add`) skip structural zeros: they do
 arithmetic only on nonzero entries.  Because the arithmetic is exact, results,
 pivots and bases are the same as those of the dense loops.
+
+Each of the two ideas behind homology with an action is written once:
+`complement_in` picks representatives of a kernel modulo an image (one rref),
+and `induced_map` writes down the map a matrix induces on such
+representatives; `restrict_action_to_subspace` is its special case with an
+empty image.
 """
 
 from __future__ import annotations
@@ -265,9 +271,23 @@ def block_matrix(blocks, row_dims, col_dims):
     return RationalMatrix(total_r, total_c, data)
 
 
-def coords_in_basis(basis_matrix, vec):
-    """Coordinates of vec in the columns of basis_matrix (must be consistent)."""
-    return basis_matrix.solve(vec)
+def complement_in(image, vectors, dim):
+    """The vectors, in order, that are not in the span of the image columns
+    and the vectors before them: the pivot columns of one rref of
+    [image | vectors].  With `vectors` a kernel basis and `image` inside the
+    kernel, they represent a basis of kernel modulo image."""
+    vectors = tuple(vectors)
+    _, pivots = hstack([image, RationalMatrix.from_columns(vectors, dim=dim)]).rref()
+    return tuple(vectors[j - image.cols] for j in pivots if j >= image.cols)
+
+
+def induced_map(m, src, reps, image):
+    """The map induced by m from the columns of src to the span of reps
+    modulo image: column j holds the reps-coordinates of m.src_j in
+    [reps | image]."""
+    full = hstack([reps, image])
+    cols = [full.solve(m.apply(v))[: reps.cols] for v in src.columns()]
+    return RationalMatrix.from_columns(cols, dim=reps.cols)
 
 
 @dataclass(frozen=True)
@@ -365,9 +385,6 @@ def equivariant_hom_dim(A, B):
 
 def restrict_action_to_subspace(action, basis_matrix):
     """The action in coordinates of an invariant subspace with given basis columns."""
-    mats = []
-    for m in action.mats:
-        cols = [coords_in_basis(basis_matrix, m.apply(basis_matrix.column(j)))
-                for j in range(basis_matrix.cols)]
-        mats.append(RationalMatrix.from_columns(cols, dim=basis_matrix.cols))
-    return GroupAction(action.group, basis_matrix.cols, tuple(mats))
+    empty = RationalMatrix.zero(basis_matrix.rows, 0)
+    mats = tuple(induced_map(m, basis_matrix, basis_matrix, empty) for m in action.mats)
+    return GroupAction(action.group, basis_matrix.cols, mats)

@@ -9,6 +9,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from equichern.qlinalg import RationalMatrix, hstack
+
 
 def brute_closure(table, seed):
     els = set(seed) | {0}
@@ -136,6 +138,20 @@ def brute_rank(rows):
         r += 1
         rank += 1
     return rank
+
+
+def greedy_complement(image, vectors, dim):
+    """The vectors that extend the image columns, chosen one at a time: a
+    vector is kept when it raises the rank.  This is the loop the library
+    used before `complement_in`, with ranks taken by `brute_rank`."""
+    chosen = []
+    current = image
+    for v in vectors:
+        candidate = hstack([current, RationalMatrix.from_columns([v], dim=dim)])
+        if brute_rank(candidate.data) > brute_rank(current.data):
+            chosen.append(v)
+            current = candidate
+    return tuple(chosen)
 
 
 def _frozen(out):

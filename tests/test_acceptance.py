@@ -24,8 +24,6 @@ from equichern.eicat import (
     build_sub_category,
     check_splitting_identities,
     nu_map,
-    random_action,
-    random_module,
 )
 from equichern.gcw import (
     GcwError,
@@ -47,6 +45,7 @@ from equichern.mackey import (
 from equichern.qlinalg import RationalMatrix, invariants
 
 import oracles
+from generators import random_action, random_module
 
 BUILTINS = ("constant", "burnside", "repring")
 

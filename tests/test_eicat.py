@@ -17,8 +17,6 @@ from equichern.eicat import (
     induction,
     nu_map,
     project_or_to_sub,
-    random_action,
-    random_module,
     restriction_along_pr,
     retraction_rho,
     splitting_S,
@@ -29,6 +27,7 @@ from equichern.groups import parse_group, subgroup
 from equichern.qlinalg import GroupAction, RationalMatrix
 
 import oracles
+from generators import random_action, random_module
 
 
 def test_trivial_group_categories():

@@ -18,8 +18,11 @@ from equichern.qlinalg import (
     InconsistentSystemError,
     RationalMatrix,
     averaging_projector,
+    complement_in,
     equivariant_hom_dim,
+    induced_map,
     invariants,
+    restrict_action_to_subspace,
 )
 
 import oracles
@@ -103,6 +106,58 @@ def test_is_identity():
     assert not M([[1, 0], [0, 2]]).is_identity()
     assert not M([[1, 1], [0, 1]]).is_identity()
     assert not M([[1, 0, 0], [0, 1, 0]]).is_identity()
+
+
+def test_complement_in_matches_greedy_loop():
+    rng = random.Random(23)
+    for dim in (0, 0, 1, 2, 3, 4, 5, 6):
+        for _ in range(15):
+            span = _random_matrix(rng, dim, rng.randint(0, 4), rng.choice((0.3, 1)))
+            if rng.random() < 0.2:
+                span = RationalMatrix.zero(dim, 0)
+            image = RationalMatrix.from_columns(span.image_basis(), dim=dim)
+            vectors = []
+            for _ in range(rng.randint(0, 6)):
+                kind = rng.choice(("random", "in_span", "repeat", "zero"))
+                if kind == "in_span" and image.cols:
+                    coeffs = [rng.randint(-2, 2) for _ in range(image.cols)]
+                    vectors.append(image.apply(coeffs))
+                elif kind == "repeat" and vectors:
+                    vectors.append(rng.choice(vectors))
+                elif kind == "zero":
+                    vectors.append((Fraction(0),) * dim)
+                else:
+                    vectors.append(_random_matrix(rng, dim, 1, 0.5).column(0))
+            expected = oracles.greedy_complement(image, vectors, dim)
+            assert complement_in(image, vectors, dim) == expected
+    assert complement_in(RationalMatrix.zero(3, 0), [], 3) == ()
+    assert complement_in(RationalMatrix.zero(0, 0), [(), ()], 0) == ()
+    diag = M([[1], [1]])
+    e1, e2 = (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))
+    assert complement_in(diag, [e1, e2], 2) == (e1,)
+    assert complement_in(diag, [(1, 1), e2, e2, e1], 2) == (e2,)
+
+
+def test_induced_map_on_quotient_and_subspace():
+    swap = M([[0, 1], [1, 0]])
+    e1 = M([[1], [0]])
+    diag = M([[1], [1]])
+    # Q^2 / diagonal is spanned by e1, and swap.e1 = e2 = -e1 + (e1 + e2)
+    assert induced_map(swap, e1, e1, diag) == M([[-1]])
+    assert induced_map(RationalMatrix.identity(2), e1, e1, diag) == M([[1]])
+    # the diagonal itself is fixed
+    assert induced_map(swap, diag, diag, RationalMatrix.zero(2, 0)) == M([[1]])
+    # no source columns, and the zero space
+    assert induced_map(swap, RationalMatrix.zero(2, 0), e1, diag) == RationalMatrix.zero(1, 0)
+    empty = RationalMatrix.zero(0, 0)
+    assert induced_map(empty, empty, empty, empty) == empty
+
+
+def test_restrict_action_to_subspace(z2):
+    action = _z2_swap(z2)
+    sub = restrict_action_to_subspace(action, M([[1], [-1]]))
+    assert sub.dim == 1
+    assert sub.mats == (M([[1]]), M([[-1]]))
 
 
 def test_solve():
