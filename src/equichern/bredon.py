@@ -300,30 +300,20 @@ def alpha_map(X, M, p, rng=None):
             comps.append(RationalMatrix.from_columns(cols, dim=Mcat.dims[r]))
         return comps
 
+    def flatten(comps):
+        return tuple(x for c in comps for row in c.data for x in row)
+
+    flat_dim = sum(Mcat.dims[r] * hmod.dims[r] for r in range(len(cat.objects)))
+    B = RationalMatrix.from_columns([flatten(h.components) for h in hom_basis], dim=flat_dim)
+
     def alpha_matrix(cocycles, comps_fn):
+        """hom-space coordinates of the transformations of all cocycles, from one solve."""
         flat_cols = []
         for j in range(cocycles.cols):
             comps = comps_fn(cocycles.column(j))
             CatModuleMap(hmod, Mcat, tuple(comps)).validate()
-            flat = []
-            for c in comps:
-                for row in c.data:
-                    flat.extend(row)
-            flat_cols.append(tuple(flat))
-        basis_cols = []
-        for h in hom_basis:
-            flat = []
-            for c in h.components:
-                for row in c.data:
-                    flat.extend(row)
-            basis_cols.append(tuple(flat))
-        B = RationalMatrix.from_columns(
-            basis_cols, dim=len(flat_cols[0]) if flat_cols else 0
-        )
-        if not flat_cols:
-            return RationalMatrix.zero(len(hom_basis), 0)
-        cols = [B.solve(fc) for fc in flat_cols]
-        return RationalMatrix.from_columns(cols, dim=len(hom_basis))
+            flat_cols.append(flatten(comps))
+        return B.solve(RationalMatrix.from_columns(flat_cols, dim=flat_dim))
 
     cocycles = cohom.cocycles[p]
     matrix = alpha_matrix(cocycles, pairing_components)

@@ -22,11 +22,10 @@ from .groups import FiniteGroup, centralizer, subgroup_conjugacy_classes
 from .qlinalg import (
     GroupAction,
     RationalMatrix,
+    averaging_projector,
     block_matrix,
     hstack,
-    induced_map,
-    restrict_action_to_subspace,
-    subgroup_invariants,
+    induced_action,
     vstack,
 )
 
@@ -499,10 +498,8 @@ def splitting_T(M, c):
         big = RationalMatrix.zero(0, n)
     kernel = big.kernel_basis()
     basis = RationalMatrix.from_columns(kernel, dim=n)
-    aut = cat.aut(c)
-    W = aut.group
-    rho = GroupAction(W, n, tuple(M.maps[aut.mor_of[W.inv(w)]] for w in range(W.order)))
-    return TSplitting(c, restrict_action_to_subspace(rho, basis), basis)
+    empty = RationalMatrix.zero(n, 0)
+    return TSplitting(c, induced_action(M.action_at(c), basis, empty), basis)
 
 
 def splitting_S(M, c):
@@ -517,23 +514,21 @@ def splitting_S(M, c):
     combined = hstack(pieces) if pieces else RationalMatrix.zero(n, 0)
     image = RationalMatrix.from_columns(combined.image_basis(), dim=n)
     reps = RationalMatrix.from_columns(combined.cokernel_basis(), dim=n)
-    aut = cat.aut(c)
-    W = aut.group
-    mats = tuple(
-        induced_map(M.maps[aut.mor_of[W.inv(w)]], reps, reps, image) for w in range(W.order)
-    )
-    return SSplitting(c, GroupAction(W, reps.cols, mats), reps, image)
+    return SSplitting(c, induced_action(M.action_at(c), reps, image), reps, image)
 
 
 @dataclass
 class OrbitInfo:
     rep: Mor
     stab: tuple  # aut-element indices stabilizing rep
+    projector: RationalMatrix  # averaging over stab on V
     basis: RationalMatrix  # columns: basis of V^stab (dim V x k)
 
 
-def _orbit_decomposition(W, morlist, act_fn):
-    """Orbits of aut-group elements acting on a morphism list via act_fn(w, mor)."""
+def _orbit_decomposition(W, V, morlist, act_fn):
+    """Orbits of aut-group elements acting on a morphism list via act_fn(w, mor),
+    each with its stabilizer's averaging projector on V and fixed-space basis,
+    and the lookup m -> (orbit index, w) with m = act_fn(w, orbit rep)."""
     remaining = set(morlist)
     orbits = []
     lookup = {}
@@ -549,9 +544,15 @@ def _orbit_decomposition(W, morlist, act_fn):
                 seen[moved] = w
         remaining.difference_update(seen)
         for m, w in seen.items():
-            lookup[m] = (len(orbits), w)  # m = act_fn(w, rep)
-        orbits.append((rep, tuple(stab)))
+            lookup[m] = (len(orbits), w)
+        P = averaging_projector(V, stab)
+        basis = RationalMatrix.from_columns(P.image_basis(), dim=V.dim)
+        orbits.append(OrbitInfo(rep, tuple(stab), P, basis))
     return orbits, lookup
+
+
+def _block_dims(infos):
+    return [info.basis.cols for info in infos]
 
 
 class Coinduction:
@@ -572,64 +573,30 @@ class Coinduction:
             # pi(w)(phi) = phi o w^-1
             return cat.then(aut.mor_of[W.inv(w)], m)
 
-        self.orbit_data = {}
-        self.lookup = {}
-        dims = []
-        for x in range(len(cat.objects)):
-            orbits, lookup = _orbit_decomposition(W, cat.mors[(c, x)], _pre)
-            infos = []
-            for rep, stab in orbits:
-                stab_elems = stab
-                inv_basis = subgroup_invariants(V, [s for s in stab_elems])
-                infos.append(
-                    OrbitInfo(rep, stab_elems, RationalMatrix.from_columns(inv_basis, dim=V.dim))
-                )
-            self.orbit_data[x] = infos
-            self.lookup[x] = lookup
-            dims.append(sum(info.basis.cols for info in infos))
-        maps = {}
-        for f in cat.all_mors():
-            maps[f] = self._value_map(f)
-        self.module = CatModule(cat, tuple(dims), maps, name=f"coind({c})")
+        self.orbit_data, self.lookup = zip(*(
+            _orbit_decomposition(W, V, cat.mors[(c, x)], _pre) for x in range(len(cat.objects))
+        ))
+        dims = tuple(sum(_block_dims(infos)) for infos in self.orbit_data)
+        maps = {f: self._value_map(f) for f in cat.all_mors()}
+        self.module = CatModule(cat, dims, maps, name=f"coind({c})")
 
     def _value_map(self, u):
         """(i_! V)(u): value(dst) -> value(src) for u: src -> dst."""
         cat, V = self.cat, self.V
-        x, y = u.src, u.dst
-        src_infos = self.orbit_data[x]
-        dst_infos = self.orbit_data[y]
-        dst_offsets = []
-        t = 0
-        for info in dst_infos:
-            dst_offsets.append(t)
-            t += info.basis.cols
-        rows_total = sum(i.basis.cols for i in src_infos)
-        cols_total = t
-        data = [[Fraction(0)] * cols_total for _ in range(rows_total)]
-        roff = 0
-        for info in src_infos:
-            target = cat.then(info.rep, u)  # u o phi_O in mor(c, y)
-            o_idx, w = self.lookup[y][target]
-            dst_info = dst_infos[o_idx]
+        src_infos = self.orbit_data[u.src]
+        dst_infos = self.orbit_data[u.dst]
+        blocks = {}
+        for i, info in enumerate(src_infos):
+            target = cat.then(info.rep, u)  # u o phi_O in mor(c, u.dst)
+            o_idx, w = self.lookup[u.dst][target]
             # lambda(u o phi_O) = rho_V(w) . lambda(rep_{O'})
-            rw = V.mats[w]
-            for j in range(dst_info.basis.cols):
-                vec = rw.apply(dst_info.basis.column(j))
-                coords = info.basis.solve(vec)
-                for i, val in enumerate(coords):
-                    data[roff + i][dst_offsets[o_idx] + j] = val
-            roff += info.basis.cols
-        return RationalMatrix(rows_total, cols_total, data)
+            rhs = V.mats[w].mul(dst_infos[o_idx].basis)
+            blocks[(i, o_idx)] = info.basis.solve(rhs)
+        return block_matrix(blocks, _block_dims(src_infos), _block_dims(dst_infos))
 
     def eval_matrix(self, M, rho, x):
         """The adjoint of rho: M(c) -> V at object x: m -> (phi -> rho(M(phi) m))."""
-        cat = self.cat
-        infos = self.orbit_data[x]
-        blocks = []
-        for info in infos:
-            base = rho.mul(M.maps[info.rep])  # M(x) -> V
-            cols = [info.basis.solve(base.column(j)) for j in range(M.dims[x])]
-            blocks.append(RationalMatrix.from_columns(cols, dim=info.basis.cols))
+        blocks = [info.basis.solve(rho.mul(M.maps[info.rep])) for info in self.orbit_data[x]]
         if blocks:
             return vstack(blocks)
         return RationalMatrix.zero(0, M.dims[x])
@@ -653,66 +620,27 @@ class Induction:
             # act(w)(phi) = w o phi
             return cat.then(m, aut.mor_of[w])
 
-        self.orbit_data = {}
-        self.lookup = {}
-        dims = []
-        for x in range(len(cat.objects)):
-            orbits, lookup = _orbit_decomposition(W, cat.mors[(x, c)], _post)
-            infos = []
-            for rep, stab in orbits:
-                inv_basis = subgroup_invariants(V, list(stab))
-                infos.append(
-                    OrbitInfo(rep, stab, RationalMatrix.from_columns(inv_basis, dim=V.dim))
-                )
-            self.orbit_data[x] = infos
-            self.lookup[x] = lookup
-            dims.append(sum(info.basis.cols for info in infos))
-        self._projectors = {}
-        maps = {}
-        for f in cat.all_mors():
-            maps[f] = self._value_map(f)
-        self.module = CatModule(cat, tuple(dims), maps, name=f"ind({c})")
-
-    def _stab_projector(self, x, o_idx):
-        key = (x, o_idx)
-        if key not in self._projectors:
-            info = self.orbit_data[x][o_idx]
-            V = self.V
-            acc = RationalMatrix.zero(V.dim, V.dim)
-            for s in info.stab:
-                acc = acc.add(V.mats[s])
-            self._projectors[key] = acc.scale(Fraction(1, len(info.stab)))
-        return self._projectors[key]
+        self.orbit_data, self.lookup = zip(*(
+            _orbit_decomposition(W, V, cat.mors[(x, c)], _post) for x in range(len(cat.objects))
+        ))
+        dims = tuple(sum(_block_dims(infos)) for infos in self.orbit_data)
+        maps = {f: self._value_map(f) for f in cat.all_mors()}
+        self.module = CatModule(cat, dims, maps, name=f"ind({c})")
 
     def _value_map(self, u):
         """(i_* V)(u): value(dst) -> value(src) for u: src -> dst (precompose morphisms)."""
         cat, V = self.cat, self.V
         W = cat.aut(self.c).group
-        x, y = u.src, u.dst
-        src_infos = self.orbit_data[x]
-        dst_infos = self.orbit_data[y]
-        src_offsets = []
-        t = 0
-        for info in src_infos:
-            src_offsets.append(t)
-            t += info.basis.cols
-        rows_total = t
-        cols_total = sum(i.basis.cols for i in dst_infos)
-        data = [[Fraction(0)] * cols_total for _ in range(rows_total)]
-        coff = 0
-        for dst_info in dst_infos:
-            target = cat.then(u, dst_info.rep)  # psi_{O'} o u in mor(x, c)
-            o_idx, w = self.lookup[x][target]
+        src_infos = self.orbit_data[u.src]
+        dst_infos = self.orbit_data[u.dst]
+        blocks = {}
+        for j, dst_info in enumerate(dst_infos):
+            target = cat.then(u, dst_info.rep)  # psi_{O'} o u in mor(u.src, c)
+            o_idx, w = self.lookup[u.src][target]
             src_info = src_infos[o_idx]
-            P = self._stab_projector(x, o_idx)
-            rw_inv = V.mats[W.inv(w)]
-            for j in range(dst_info.basis.cols):
-                vec = P.apply(rw_inv.apply(dst_info.basis.column(j)))
-                coords = src_info.basis.solve(vec)
-                for i, val in enumerate(coords):
-                    data[src_offsets[o_idx] + i][coff + j] = val
-            coff += dst_info.basis.cols
-        return RationalMatrix(rows_total, cols_total, data)
+            rhs = src_info.projector.mul(V.mats[W.inv(w)].mul(dst_info.basis))
+            blocks[(o_idx, j)] = src_info.basis.solve(rhs)
+        return block_matrix(blocks, _block_dims(src_infos), _block_dims(dst_infos))
 
 
 def coinduction(cat, c, V):
@@ -740,7 +668,6 @@ def retraction_rho(M, c, tsplit=None):
     """
     if tsplit is None:
         tsplit = splitting_T(M, c)
-    cat = M.cat
     n = M.dims[c]
     k = tsplit.basis.cols
     # free coordinates: each RREF kernel vector has a unit coordinate of its own
@@ -755,19 +682,17 @@ def retraction_rho(M, c, tsplit=None):
     r0 = RationalMatrix(
         k, n, [[1 if i == free_rows[row] else 0 for i in range(n)] for row in range(k)]
     )
-    aut = cat.aut(c)
-    W = aut.group
+    act = M.action_at(c)
+    W = act.group
     acc = RationalMatrix.zero(k, n)
     for w in range(W.order):
-        rho_m = M.maps[aut.mor_of[W.inv(w)]]
         t_inv = tsplit.action.mats[W.inv(w)]
-        acc = acc.add(t_inv.mul(r0).mul(rho_m))
+        acc = acc.add(t_inv.mul(r0).mul(act.mats[w]))
     rho = acc.scale(Fraction(1, W.order))
     if rho.mul(tsplit.basis) != RationalMatrix.identity(k):
         raise CategoryError("retraction does not restrict to the identity on T_c M")
     for w in range(W.order):
-        rho_m = M.maps[aut.mor_of[W.inv(w)]]
-        if rho.mul(rho_m) != tsplit.action.mats[w].mul(rho):
+        if rho.mul(act.mats[w]) != tsplit.action.mats[w].mul(rho):
             raise CategoryError("retraction is not equivariant")
     return rho
 

@@ -26,7 +26,7 @@ from .groups import (
     parse_subgroup_literal,
     subgroup_conjugacy_classes,
 )
-from .qlinalg import GroupAction, RationalMatrix, complement_in, induced_map
+from .qlinalg import GroupAction, RationalMatrix, complement_in, induced_action
 
 
 class GcwError(ValueError):
@@ -270,9 +270,7 @@ def homology_with_action(C):
         reps = RationalMatrix.from_columns(complement_in(image, kernel, n_p), dim=n_p)
         reps_all.append(reps)
         if C.actions is not None:
-            act = C.actions[p]
-            mats = tuple(induced_map(m, reps, reps, image) for m in act.mats)
-            actions.append(GroupAction(act.group, reps.cols, mats))
+            actions.append(induced_action(C.actions[p], reps, image))
     has_action = C.actions is not None
     return GradedHomology(
         dims=tuple(r.cols for r in reps_all),
@@ -313,7 +311,6 @@ def orbit_complex(G, H):
 def parse_gcw(text, G):
     """Parse the line-oriented G-CW file format."""
     name = None
-    group_name = None
     dim = None
     cells = {}
     boundary_lines = []
@@ -326,6 +323,8 @@ def parse_gcw(text, G):
             name = line.split(None, 1)[1].strip()
         elif head == "group":
             group_name = line.split(None, 1)[1].strip()
+            if group_name != G.name:
+                raise GcwError(f"line {lineno}: space declares {group_name}, got {G.name}")
         elif head == "dim":
             dim = int(line.split()[1])
         elif head == "cells":

@@ -31,7 +31,7 @@ from .groups import (
     subgroup_conjugacy_classes,
     parse_subgroup_literal,
 )
-from .qlinalg import GroupAction, RationalMatrix, restrict_action_to_subspace, vstack
+from .qlinalg import GroupAction, RationalMatrix, induced_action, vstack
 
 
 class MackeyError(ValueError):
@@ -379,7 +379,8 @@ def T_H_of_mackey(M, H):
     big = vstack(stack) if stack else RationalMatrix.zero(0, n)
     kernel = big.kernel_basis()
     basis = RationalMatrix.from_columns(kernel, dim=n)
-    part = TPart(j, restrict_action_to_subspace(M.weyl_action(j), basis), basis)
+    empty = RationalMatrix.zero(n, 0)
+    part = TPart(j, induced_action(M.weyl_action(j), basis, empty), basis)
     M._cache[key] = part
     return part
 
@@ -800,6 +801,10 @@ def parse_mackey(text, G):
             continue
         if head == "group":
             group_name = stripped.split(None, 1)[1]
+            if group_name != G.name:
+                raise MackeyError(
+                    f"line {lineno}: coefficients declare {group_name}, got {G.name}"
+                )
             continue
         if head == "object":
             parts = stripped.split()

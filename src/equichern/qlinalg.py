@@ -8,11 +8,14 @@ The kernels (`mul`, `rref`, `apply`, `add`) skip structural zeros: they do
 arithmetic only on nonzero entries.  Because the arithmetic is exact, results,
 pivots and bases are the same as those of the dense loops.
 
-Each of the two ideas behind homology with an action is written once:
+`solve` takes a matrix of right-hand sides and reduces `[A | B]` once, so
+each exact linear system is solved once for all its columns.  On top of it,
+each of the ideas behind homology with an action is written once:
 `complement_in` picks representatives of a kernel modulo an image (one rref),
-and `induced_map` writes down the map a matrix induces on such
-representatives; `restrict_action_to_subspace` is its special case with an
-empty image.
+`induced_map` writes down the map a matrix induces on such representatives,
+and `induced_action` does so for a whole group action with one solve (an
+empty image gives the action on an invariant subspace).  Fixed subspaces come
+from one checked averaging projector, `averaging_projector`.
 """
 
 from __future__ import annotations
@@ -218,20 +221,19 @@ class RationalMatrix:
                 out.append(tuple(v))
         return tuple(out)
 
-    def solve(self, b):
-        """One solution x of self.x = b; raises InconsistentSystemError."""
-        if len(b) != self.rows:
-            raise LinAlgError("rhs length mismatch")
-        aug = RationalMatrix(
-            self.rows, self.cols + 1, [list(row) + [_frac(x)] for row, x in zip(self.data, b)]
-        )
-        R, pivots = aug.rref()
-        if self.cols in pivots:
+    def solve(self, B):
+        """The X with self.X = B, from one rref of [self | B]; unknowns at
+        non-pivot columns are 0.  Raises InconsistentSystemError if any
+        column of B is not in the column space."""
+        if B.rows != self.rows:
+            raise LinAlgError("right-hand side has the wrong number of rows")
+        R, pivots = hstack([self, B]).rref()
+        if pivots and pivots[-1] >= self.cols:
             raise InconsistentSystemError("inconsistent linear system")
-        x = [Fraction(0)] * self.cols
+        data = [[Fraction(0)] * B.cols for _ in range(self.cols)]
         for r, p in enumerate(pivots):
-            x[p] = R.data[r][self.cols]
-        return tuple(x)
+            data[p] = R.data[r][self.cols:]
+        return RationalMatrix(self.cols, B.cols, data)
 
 
 def hstack(mats):
@@ -285,9 +287,21 @@ def induced_map(m, src, reps, image):
     """The map induced by m from the columns of src to the span of reps
     modulo image: column j holds the reps-coordinates of m.src_j in
     [reps | image]."""
-    full = hstack([reps, image])
-    cols = [full.solve(m.apply(v))[: reps.cols] for v in src.columns()]
-    return RationalMatrix.from_columns(cols, dim=reps.cols)
+    X = hstack([reps, image]).solve(m.mul(src))
+    return RationalMatrix(reps.cols, src.cols, X.data[: reps.cols])
+
+
+def induced_action(action, reps, image):
+    """The action induced on the span of reps modulo image (both invariant),
+    from one solve: the right-hand side holds every mats[g].reps side by
+    side, and column block g of the solution is the matrix of g."""
+    k = reps.cols
+    X = hstack([reps, image]).solve(hstack([m.mul(reps) for m in action.mats]))
+    mats = tuple(
+        RationalMatrix(k, k, [row[g * k:(g + 1) * k] for row in X.data[:k]])
+        for g in range(len(action.mats))
+    )
+    return GroupAction(action.group, k, mats)
 
 
 @dataclass(frozen=True)
@@ -326,13 +340,13 @@ class GroupAction:
         return tuple(sum(m.data[i][i] for i in range(self.dim)) for m in self.mats)
 
 
-def averaging_projector(action):
-    """P = (1/|W|) sum_w mats[w]; exact, idempotent, image = fixed subspace."""
-    n = action.group.order
+def averaging_projector(action, elems):
+    """P = (1/|S|) sum_{s in S} mats[s] for a subgroup S given by its
+    elements; exact, checked idempotent, image = the S-fixed subspace."""
     acc = RationalMatrix.zero(action.dim, action.dim)
-    for m in action.mats:
-        acc = acc.add(m)
-    P = acc.scale(Fraction(1, n))
+    for g in elems:
+        acc = acc.add(action.mats[g])
+    P = acc.scale(Fraction(1, len(elems)))
     if P.mul(P) != P:
         raise LinAlgError("averaging projector is not idempotent")
     return P
@@ -340,21 +354,10 @@ def averaging_projector(action):
 
 def invariants(action):
     """Echelon basis of the fixed subspace, via the averaging projector."""
-    P = averaging_projector(action)
+    P = averaging_projector(action, range(action.group.order))
     for m in action.mats:
         if m.mul(P) != P:
             raise LinAlgError("projector is not invariant under the action")
-    return P.image_basis()
-
-
-def subgroup_invariants(action, elems):
-    """Fixed subspace under a subset of group elements (a subgroup)."""
-    acc = RationalMatrix.zero(action.dim, action.dim)
-    for g in elems:
-        acc = acc.add(action.mats[g])
-    P = acc.scale(Fraction(1, len(elems)))
-    if P.mul(P) != P:
-        raise LinAlgError("subgroup averaging projector is not idempotent")
     return P.image_basis()
 
 
@@ -381,10 +384,3 @@ def equivariant_hom_dim(A, B):
                 rows.append(row)
     M = RationalMatrix(len(rows), A.dim * B.dim, rows)
     return len(M.kernel_basis())
-
-
-def restrict_action_to_subspace(action, basis_matrix):
-    """The action in coordinates of an invariant subspace with given basis columns."""
-    empty = RationalMatrix.zero(basis_matrix.rows, 0)
-    mats = tuple(induced_map(m, basis_matrix, basis_matrix, empty) for m in action.mats)
-    return GroupAction(action.group, basis_matrix.cols, mats)

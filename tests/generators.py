@@ -67,9 +67,7 @@ def random_action(W, rng, max_blocks=2):
             block_matrix(blk, [b[0].rows for b in blocks], [b[0].rows for b in blocks])
         )
     U = _random_unimodular(rng, dim)
-    # exact inverse via solving
-    cols = [U.solve(tuple(1 if i == j else 0 for i in range(dim))) for j in range(dim)]
-    U_inv = RationalMatrix.from_columns(cols, dim=dim)
+    U_inv = U.solve(RationalMatrix.identity(dim))
     mats = tuple(U_inv.mul(m).mul(U) for m in mats)
     return GroupAction(W, dim, mats)
 
@@ -87,8 +85,7 @@ def image_module(phi):
     for f in cat.all_mors():
         x, y = f.src, f.dst
         Nf = phi.target.maps[f]
-        cols = [bases[x].solve(Nf.apply(bases[y].column(j))) for j in range(bases[y].cols)]
-        maps[f] = RationalMatrix.from_columns(cols, dim=dims[x])
+        maps[f] = bases[x].solve(Nf.mul(bases[y]))
     return CatModule(cat, dims, maps, name="im")
 
 

@@ -197,6 +197,26 @@ def dense_rref(a):
     return _frozen(m), tuple(pivots)
 
 
+def column_solve(a, b):
+    """The columns x_j with a.x_j = b_j, each solved on its own as
+    RationalMatrix.solve did before it took a matrix: `dense_rref` of
+    [a | b_j], unknowns at non-pivot columns 0.  None if some column is
+    inconsistent."""
+    out = []
+    for j in range(b.cols):
+        aug = RationalMatrix(
+            a.rows, a.cols + 1, [list(row) + [b.data[i][j]] for i, row in enumerate(a.data)]
+        )
+        R, pivots = dense_rref(aug)
+        if a.cols in pivots:
+            return None
+        x = [Fraction(0)] * a.cols
+        for r, p in enumerate(pivots):
+            x[p] = R[r][a.cols]
+        out.append(tuple(x))
+    return out
+
+
 def quotient_cw_homology_dims(X, H_elems):
     """Homology dims of C_G(H) \\ X^H computed from raw fixed-point cells.
 

@@ -235,6 +235,30 @@ def test_chern_rejects_empty_range(capsys, flag, text):
     assert flag in captured.err
 
 
+def test_chern_rejects_space_of_another_group(capsys):
+    code, out, err = run(
+        capsys, "chern", "--group", "q8", "--space", "dihedral_polygon", "--coeff", "burnside"
+    )
+    assert code == 2
+    assert out == ""
+    assert "space declares d4, got q8" in err
+
+
+def test_mackey_rejects_file_of_another_group(tmp_path, capsys):
+    from equichern.data import bundled_group
+    from equichern.mackey import constant_mackey, format_mackey
+
+    # d4 and q8 have the same order, so only the header tells the files apart
+    path = tmp_path / "d4_const.mky"
+    path.write_text(format_mackey(constant_mackey(bundled_group("d4"))))
+    code, out, err = run(capsys, "mackey", "--group", "q8", "--coeff", f"file:{path}")
+    assert code == 2
+    assert out == ""
+    assert "coefficients declare d4, got q8" in err
+    code, _out, _err = run(capsys, "mackey", "--group", "d4", "--coeff", f"file:{path}")
+    assert code == 0
+
+
 def test_selftest_quick(capsys):
     code, out, _ = run(capsys, "selftest", "--quick")
     assert code == 0

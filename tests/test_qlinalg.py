@@ -20,9 +20,9 @@ from equichern.qlinalg import (
     averaging_projector,
     complement_in,
     equivariant_hom_dim,
+    induced_action,
     induced_map,
     invariants,
-    restrict_action_to_subspace,
 )
 
 import oracles
@@ -153,19 +153,58 @@ def test_induced_map_on_quotient_and_subspace():
     assert induced_map(empty, empty, empty, empty) == empty
 
 
-def test_restrict_action_to_subspace(z2):
+def test_induced_action(z2):
     action = _z2_swap(z2)
-    sub = restrict_action_to_subspace(action, M([[1], [-1]]))
+    # the invariant line spanned by (1, -1), with an empty image
+    sub = induced_action(action, M([[1], [-1]]), RationalMatrix.zero(2, 0))
     assert sub.dim == 1
     assert sub.mats == (M([[1]]), M([[-1]]))
+    # Q^2 modulo the diagonal, represented by e1: the swap acts by -1
+    quot = induced_action(action, M([[1], [0]]), M([[1], [1]]))
+    assert quot.dim == 1
+    assert quot.mats == (M([[1]]), M([[-1]]))
+    quot.validate()
 
 
 def test_solve():
     m = M([[1, 2], [3, 4]])
-    x = m.solve((5, 11))
-    assert m.apply(x) == (Fraction(5), Fraction(11))
+    x = m.solve(M([[5], [11]]))
+    assert m.mul(x) == M([[5], [11]])
     with pytest.raises(InconsistentSystemError):
-        M([[1, 1], [1, 1]]).solve((0, 1))
+        M([[1, 1], [1, 1]]).solve(M([[0], [1]]))
+
+
+def test_solve_matches_per_column_oracle():
+    rng = random.Random(31)
+    inconsistent = 0
+    shapes = [(0, 0), (0, 3), (3, 0), (1, 1)]
+    shapes += [(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(40)]
+    for rows, cols in shapes:
+        for density in (0.3, 1):
+            full = _random_matrix(rng, rows, cols, density)
+            # rank <= 2: systems with free unknowns and a proper column space
+            low = _random_matrix(rng, rows, 2, density).mul(_random_matrix(rng, 2, cols, density))
+            for A in (full, low):
+                for k in (0, 1, rng.randint(2, 5)):
+                    B = A.mul(_random_matrix(rng, cols, k, density))
+                    expected = oracles.column_solve(A, B)
+                    X = A.solve(B)
+                    assert (X.rows, X.cols) == (cols, k)
+                    assert X.columns() == expected
+                    assert A.mul(X) == B
+                    _assert_fractions(X.data)
+                    # one right-hand side outside the column space, anywhere in B
+                    bad = _random_matrix(rng, rows, 1, 1).column(0)
+                    if oracles.column_solve(A, RationalMatrix.from_columns([bad], dim=rows)) is None:
+                        at = rng.randint(0, k)
+                        cols_b = B.columns()
+                        cols_b.insert(at, bad)
+                        B_bad = RationalMatrix.from_columns(cols_b, dim=rows)
+                        assert oracles.column_solve(A, B_bad) is None
+                        with pytest.raises(InconsistentSystemError):
+                            A.solve(B_bad)
+                        inconsistent += 1
+    assert inconsistent > 50
 
 
 def test_cokernel():
@@ -190,8 +229,9 @@ def test_invariants(z2):
     inv = invariants(act)
     assert len(inv) == 1
     assert inv[0] == (Fraction(1), Fraction(1))
-    P = averaging_projector(act)
+    P = averaging_projector(act, range(z2.order))
     assert P.mul(P) == P
+    assert averaging_projector(act, [0]) == RationalMatrix.identity(2)
 
 
 def test_equivariant_hom_dim(z2):
