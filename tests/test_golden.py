@@ -31,7 +31,7 @@ from equichern.mackey import builtin_mackey, mackey_to_sub_module, nu_of_mackey
 GOLDEN = Path(__file__).parent / "golden"
 COEFFS = ("constant", "burnside", "repring")
 SPACES = (("dihedral_polygon", "d4"), ("reflection_circle", "z2"), ("s3_triangle", "s3"))
-MACKEY_GROUPS = ("s3", "d4", "q8", "a4", "z6", "z2", "z3", "z4", "z5", "z7", "z8")
+MACKEY_GROUPS = ("s3", "d4", "q8", "a4", "z6", "z2", "z3", "z4", "z5", "z7", "z8", "s4")
 NU_GROUPS = ("s3", "d4", "q8")
 
 
