@@ -59,8 +59,7 @@ def _load_group(spec, cap):
     if spec in bundled.bundled_group_names():
         G = bundled.bundled_group(spec)
     else:
-        path = Path(spec)
-        G = parse_group(path.read_text(encoding="utf-8"), name=path.stem)
+        G = parse_group(Path(spec).read_text(encoding="utf-8"))
     if G.order > cap:
         raise GroupError(f"group order {G.order} exceeds --cap {cap}")
     return G

@@ -9,6 +9,11 @@ conjugacy-class representatives:
   injections c(g): H -> K modulo inner automorphisms of K (stored by the
   minimal element of the double coset K g C_G(H)).
 
+The morphisms between two objects are enumerated in one ascending pass over
+G: each coset aK (or double coset K g C_G(H)) is marked covered when first
+met, so the element that opens it is its minimal representative, and the
+validity test, constant on the coset, runs once per coset.
+
 Contravariant modules over these categories are functors into Q-vector
 spaces; a morphism f: c -> d is stored as the matrix M(f): M(d) -> M(c).
 """
@@ -64,12 +69,23 @@ def sub_canon_raw(G, src, dst, g):
 
 
 def sub_mors_raw(G, src, dst):
-    """Canonical reps of mor_Sub(src, dst), enumerated by double cosets."""
-    out = set()
+    """Canonical reps of mor_Sub(src, dst), enumerated by double cosets.
+
+    g runs in ascending order and each double coset dst * g * C_G(src) is
+    marked covered when first met, so the g that opens it is its minimum.
+    Validity is constant on the double coset, so it is tested once per coset.
+    """
+    C = _cached_centralizer(G, src)
+    t = G.table
+    covered = set()
+    out = []
     for g in range(G.order):
+        if g in covered:
+            continue
+        covered.update(t[t[k][g]][c] for k in dst.elems for c in C.elems)
         if sub_valid_raw(G, src, dst, g):
-            out.add(sub_canon_raw(G, src, dst, g))
-    return tuple(sorted(out))
+            out.append(g)
+    return tuple(out)
 
 
 def or_valid_raw(G, src, dst, a):
@@ -83,11 +99,18 @@ def or_canon_raw(G, dst, a):
 
 
 def or_mors_raw(G, src, dst):
-    out = set()
+    """Canonical reps of mor_Or(G/src, G/dst), enumerated by cosets a * dst,
+    in the same way as `sub_mors_raw`."""
+    t = G.table
+    covered = set()
+    out = []
     for a in range(G.order):
+        if a in covered:
+            continue
+        covered.update(t[a][k] for k in dst.elems)
         if or_valid_raw(G, src, dst, a):
-            out.add(or_canon_raw(G, dst, a))
-    return tuple(sorted(out))
+            out.append(a)
+    return tuple(out)
 
 
 @dataclass(frozen=True)

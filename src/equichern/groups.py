@@ -129,7 +129,7 @@ class FiniteGroup:
                 candidates = [g for g in range(self.order) if g not in closure]
                 best = max(candidates, key=lambda g: (self.element_order(g), -g))
                 gens.append(best)
-                closure = _closure(self, closure | {best})
+                closure = _span(self, closure, gens)
             self._cache["generators"] = tuple(gens)
         return self._cache["generators"]
 
@@ -181,24 +181,31 @@ def subgroup(G, elems, validate=True):
     return Subgroup(elems, G)
 
 
-def _closure(G, seed):
-    els = set(seed) | {0}
+def _span(G, base, gens):
+    """Elements of <gens>, grown from `base`, a subset of <gens> holding 0.
+
+    Only right multiplication by the generators is needed: in a finite group
+    the monoid generated by `gens` is the subgroup, so each element is
+    multiplied |gens| times rather than by every element found so far.
+    """
+    els = set(base)
     frontier = list(els)
+    table = G.table
     while frontier:
         nxt = []
         for a in frontier:
-            row = G.table[a]
-            for b in list(els):
-                for c in (row[b], G.table[b][a]):
-                    if c not in els:
-                        els.add(c)
-                        nxt.append(c)
+            row = table[a]
+            for s in gens:
+                c = row[s]
+                if c not in els:
+                    els.add(c)
+                    nxt.append(c)
         frontier = nxt
     return els
 
 
 def generated_subgroup(G, gens):
-    return subgroup(G, _closure(G, set(gens)), validate=False)
+    return subgroup(G, _span(G, (0,), tuple(gens)), validate=False)
 
 
 def trivial_subgroup(G):
@@ -210,25 +217,34 @@ def full_subgroup(G):
 
 
 def enumerate_subgroups(G, cap=DEFAULT_SUBGROUP_CAP):
-    """All subgroups of G, by breadth-first closure over generated subsets."""
+    """All subgroups of G, sorted by (order, elements).
+
+    Breadth first from the trivial subgroup: each subgroup H found carries
+    the generators it was built from, and <H, g> is spanned from H by those
+    generators and g alone. Every g' in the right coset Hg spans the same
+    subgroup, so one g per coset of H is tried.
+    """
     if G.order > cap:
         raise GroupError(f"group order {G.order} exceeds the subgroup cap {cap}")
     key = ("subgroups", cap)
     if key in G._cache:
         return G._cache[key]
     seen = {(0,): trivial_subgroup(G)}
-    frontier = [(0,)]
+    frontier = [((0,), ())]
+    table = G.table
     while frontier:
         nxt = []
-        for elems in frontier:
-            base = set(elems)
+        for elems, gens in frontier:
+            covered = set(elems)
             for g in range(1, G.order):
-                if g in base:
+                if g in covered:
                     continue
-                new = tuple(sorted(_closure(G, base | {g})))
+                covered.update(table[h][g] for h in elems)
+                new_gens = gens + (g,)
+                new = tuple(sorted(_span(G, elems, new_gens)))
                 if new not in seen:
                     seen[new] = Subgroup(new, G)
-                    nxt.append(new)
+                    nxt.append((new, new_gens))
         frontier = nxt
     subs = tuple(sorted(seen.values(), key=lambda s: (len(s.elems), s.elems)))
     G._cache[key] = subs
@@ -236,14 +252,34 @@ def enumerate_subgroups(G, cap=DEFAULT_SUBGROUP_CAP):
 
 
 def subgroup_count_oracle(G):
-    """Independent subgroup count: closures of all k-subsets, growing k until stable."""
+    """Independent subgroup count: closures of all k-subsets, growing k until stable.
+
+    Its closure multiplies all pairs of elements found so far and shares no
+    code with `enumerate_subgroups`.
+    """
+
+    def closure(seed):
+        els = set(seed) | {0}
+        frontier = list(els)
+        while frontier:
+            nxt = []
+            for a in frontier:
+                row = G.table[a]
+                for b in list(els):
+                    for c in (row[b], G.table[b][a]):
+                        if c not in els:
+                            els.add(c)
+                            nxt.append(c)
+            frontier = nxt
+        return els
+
     found = {(0,)}
     elems = list(range(G.order))
     k = 1
     while True:
         before = len(found)
         for combo in itertools.combinations(elems, k):
-            found.add(tuple(sorted(_closure(G, set(combo)))))
+            found.add(tuple(sorted(closure(combo))))
         if len(found) == before and k >= 2:
             return len(found)
         k += 1
@@ -382,6 +418,7 @@ class SubgroupClassTable:
         for s in subs:
             if s.elems in assigned:
                 continue
+            # g ascends, so members[m] is the minimal g with g*s*g^-1 = m
             members = {}
             for g in range(G.order):
                 cs = conjugate_subgroup(G, g, s)
@@ -389,14 +426,10 @@ class SubgroupClassTable:
                     members[cs.elems] = g
             member_subs = tuple(sorted((by_elems[e] for e in members), key=lambda t: t.elems))
             rep = member_subs[0]
-            conjugators = {}
-            for m in member_subs:
-                conjugators[m.elems] = min(
-                    g for g in range(G.order)
-                    if conjugate_subgroup(G, g, rep).elems == m.elems
-                )
+            # subs is sorted and classes are disjoint, so s is its class's minimum
+            assert s == rep
             assigned.update(members)
-            classes.append((rep, member_subs, conjugators))
+            classes.append((rep, member_subs, members))
         classes.sort(key=lambda c: (len(c[0].elems), c[0].elems))
         built = []
         for rep, members, conjugators in classes:

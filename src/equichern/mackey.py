@@ -571,31 +571,32 @@ def burnside_mackey(G):
         rows = dims[lcls]
         classes_r = _subgroup_classes_within(G, R)
         data = [[Fraction(0)] * len(classes_r) for _ in range(rows)]
-        lset = set(L.elems)
+        t = G.table
         for col, (rep_elems, _members) in enumerate(classes_r):
-            J = set(rep_elems)
-            # decompose the coset space R/J into L-orbits
-            cosets = {}
+            # label each r in R by min(rJ), the canonical element of its coset
+            label = {}
             for r in R.elems:
-                key = min(G.mul(r, u) for u in J)
-                cosets.setdefault(key, None)
-            remaining = set(cosets)
+                if r not in label:
+                    coset = [t[r][u] for u in rep_elems]
+                    key = min(coset)
+                    for y in coset:
+                        label[y] = key
+            # decompose the coset space R/J into L-orbits
+            remaining = set(label.values())
             while remaining:
                 x = min(remaining)
                 # orbit of the coset xJ under L; stabilizer L ∩ xJx^-1
                 orbit = set()
                 stack = [x]
                 while stack:
-                    y = stack.pop()
-                    ykey = min(G.mul(y, u) for u in J)
+                    ykey = label[stack.pop()]
                     if ykey in orbit:
                         continue
                     orbit.add(ykey)
                     for l in L.elems:
-                        stack.append(G.mul(l, y))
+                        stack.append(t[l][ykey])
                 remaining.difference_update(orbit)
-                stab = [l for l in L.elems
-                        if min(G.mul(G.mul(l, x), u) for u in J) == min(G.mul(x, u) for u in J)]
+                stab = [l for l in L.elems if label[t[l][x]] == x]
                 P = subgroup(G, stab, validate=False)
                 _li, idx = transported_class_index(L, P)
                 data[idx][col] += 1

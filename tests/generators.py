@@ -1,4 +1,5 @@
-"""Randomized inputs for property tests: representations and small modules.
+"""Inputs for property tests: groups past the bundled corpus, random
+representations and small modules.
 
 Test-only; the library never builds random inputs itself.
 """
@@ -15,8 +16,44 @@ from equichern.eicat import (
     free_module,
     hom_over_category,
 )
-from equichern.groups import enumerate_subgroups
+from equichern.groups import FiniteGroup, enumerate_subgroups
 from equichern.qlinalg import GroupAction, RationalMatrix, block_matrix
+
+
+def permutation_closure(gens):
+    """Table of the permutation group generated by `gens` (tuples of images),
+    with the identity as element 0 and (a * b)(i) = a(b(i))."""
+    ident = tuple(range(len(gens[0])))
+    elems = [ident]
+    index = {ident: 0}
+    for p in elems:  # grows while it is walked
+        for g in gens:
+            q = tuple(p[g[i]] for i in ident)
+            if q not in index:
+                index[q] = len(elems)
+                elems.append(q)
+    return [[index[tuple(a[b[i]] for i in ident)] for b in elems] for a in elems]
+
+
+def direct_product(t1, t2):
+    """Table of G1 x G2, with (a1, a2) numbered a1 * |G2| + a2."""
+    n2 = len(t2)
+    return [
+        [t1[a1][b1] * n2 + t2[a2][b2] for b1 in range(len(t1)) for b2 in range(n2)]
+        for a1 in range(len(t1))
+        for a2 in range(n2)
+    ]
+
+
+def relabelled_group(table, rng, name):
+    """The group of `table` with its non-identity elements renamed at random."""
+    n = len(table)
+    new = [0] + rng.sample(range(1, n), n - 1)
+    out = [[0] * n for _ in range(n)]
+    for a, row in enumerate(table):
+        for b, c in enumerate(row):
+            out[new[a]][new[b]] = new[c]
+    return FiniteGroup(out, name=name)
 
 
 def _random_unimodular(rng, n, steps=4):

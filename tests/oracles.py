@@ -9,6 +9,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from equichern.groups import conjugate_subgroup, subgroup, subgroup_conjugacy_classes
+from equichern.mackey import _class_index_within, _subgroup_classes_within
 from equichern.qlinalg import RationalMatrix, hstack
 
 
@@ -302,3 +304,95 @@ def quotient_cw_homology_dims(X, H_elems):
         rank_out = brute_rank(boundaries[p - 1]) if p >= 1 else 0
         h.append(dims[p] - rank_out - rank_in)
     return h
+
+
+def pairwise_closure(table, seed):
+    """Closure of `seed` multiplying each new element by every element found
+    so far, on both sides."""
+    els = set(seed) | {0}
+    frontier = list(els)
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for b in list(els):
+                for c in (table[a][b], table[b][a]):
+                    if c not in els:
+                        els.add(c)
+                        nxt.append(c)
+        frontier = nxt
+    return els
+
+
+def quadratic_subgroups(table):
+    """All subgroups as sorted element tuples, ordered by (order, elements):
+    breadth first from the trivial subgroup, closing H and g pairwise for
+    every g outside every H found."""
+    seen = {(0,)}
+    frontier = [(0,)]
+    while frontier:
+        nxt = []
+        for elems in frontier:
+            for g in range(1, len(table)):
+                if g in elems:
+                    continue
+                new = tuple(sorted(pairwise_closure(table, set(elems) | {g})))
+                if new not in seen:
+                    seen.add(new)
+                    nxt.append(new)
+        frontier = nxt
+    return sorted(seen, key=lambda s: (len(s), s))
+
+
+def per_g_sub_mors(table, H, K):
+    """Minimal elements of the double cosets K g C_G(H) of the g with
+    g H g^-1 <= K, each found by a min over the whole double coset."""
+    C = brute_centralizer(table, H)
+    kset = set(K)
+    out = set()
+    for g in range(len(table)):
+        if all(brute_conj(table, g, h) in kset for h in H):
+            out.add(min(table[table[k][g]][c] for k in K for c in C))
+    return tuple(sorted(out))
+
+
+def per_a_or_mors(table, H, K):
+    """Minimal elements of the cosets aK of the a with a^-1 H a <= K."""
+    kset = set(K)
+    out = set()
+    for a in range(len(table)):
+        ai = brute_inv(table, a)
+        if all(table[table[ai][h]][a] in kset for h in H):
+            out.add(min(table[a][k] for k in K))
+    return tuple(sorted(out))
+
+
+def min_scan_burnside_incl_res(G, L, j):
+    """Rows of the Burnside restriction matrix from rep(j) to L, with every
+    coset key found by a min over the whole coset at every step.  Class
+    indices come from the library's class tables."""
+    ct = subgroup_conjugacy_classes(G)
+    R = ct.rep(j)
+    li, t_l = ct.transport(L)
+    classes_r = _subgroup_classes_within(G, R)
+    rows = len(_subgroup_classes_within(G, ct.rep(li)))
+    data = [[0] * len(classes_r) for _ in range(rows)]
+    for col, (rep_elems, _members) in enumerate(classes_r):
+        J = set(rep_elems)
+        remaining = {min(G.mul(r, u) for u in J) for r in R.elems}
+        while remaining:
+            x = min(remaining)
+            orbit = set()
+            stack = [x]
+            while stack:
+                y = stack.pop()
+                ykey = min(G.mul(y, u) for u in J)
+                if ykey in orbit:
+                    continue
+                orbit.add(ykey)
+                stack.extend(G.mul(l, y) for l in L.elems)
+            remaining.difference_update(orbit)
+            stab = [l for l in L.elems
+                    if min(G.mul(G.mul(l, x), u) for u in J) == min(G.mul(x, u) for u in J)]
+            moved = conjugate_subgroup(G, G.inv(t_l), subgroup(G, stab, validate=False))
+            data[_class_index_within(G, ct.rep(li), moved)][col] += 1
+    return _frozen(data)

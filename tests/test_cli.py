@@ -264,3 +264,46 @@ def test_selftest_quick(capsys):
     assert code == 0
     assert "checks passed" in out
     assert "FAIL" not in out
+
+
+def _relabelled_s4_file(tmp_path):
+    """s4 with its non-identity elements renamed, in a file whose stem is not its name."""
+    from equichern.data import bundled_group
+    from equichern.groups import FiniteGroup, format_group
+
+    s4 = bundled_group("s4")
+    new = [0] + list(range(s4.order - 1, 0, -1))
+    table = [[0] * s4.order for _ in range(s4.order)]
+    for a, row in enumerate(s4.table):
+        for b, c in enumerate(row):
+            table[new[a]][new[b]] = new[c]
+    path = tmp_path / "s4_relabelled.grp"
+    path.write_text(format_group(FiniteGroup(table, name="s4")))
+    return path
+
+
+@pytest.mark.parametrize("declared", ["s4", "d4"])
+def test_group_file_is_named_by_its_header(tmp_path, capsys, declared):
+    group_path = _relabelled_s4_file(tmp_path)
+    space_path = tmp_path / "free_orbit.gcw"
+    space_path.write_text(f"gcw free_orbit\ngroup {declared}\ndim 0\ncells 0: a iso={{0}}\n")
+    code, out, err = run(
+        capsys, "chern", "--group", str(group_path), "--space", str(space_path), "--coeff", "burnside"
+    )
+    if declared == "s4":
+        assert code == 0, err
+        assert "n=0 bredon=1 chern-target=1 ok" in out
+    else:
+        assert code == 2
+        assert out == ""
+        assert "space declares d4, got s4" in err
+
+
+def test_selftest_fails_when_enumeration_drops_a_subgroup(capsys, monkeypatch):
+    from equichern import cli
+
+    enumerate_all = cli.enumerate_subgroups
+    monkeypatch.setattr(cli, "enumerate_subgroups", lambda G: enumerate_all(G)[:-1])
+    code, out, _ = run(capsys, "selftest", "--quick")
+    assert code == 1
+    assert "FAIL group z2: subgroup count oracle: subgroup count mismatch" in out
