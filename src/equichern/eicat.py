@@ -69,12 +69,8 @@ def sub_canon_raw(G, src, dst, g):
 
 
 def sub_mors_raw(G, src, dst):
-    """Canonical reps of mor_Sub(src, dst), enumerated by double cosets.
-
-    g runs in ascending order and each double coset dst * g * C_G(src) is
-    marked covered when first met, so the g that opens it is its minimum.
-    Validity is constant on the double coset, so it is tested once per coset.
-    """
+    """Canonical reps of mor_Sub(src, dst): the minima of the valid double
+    cosets dst * g * C_G(src), in one ascending pass over G."""
     C = _cached_centralizer(G, src)
     t = G.table
     covered = set()
@@ -99,8 +95,8 @@ def or_canon_raw(G, dst, a):
 
 
 def or_mors_raw(G, src, dst):
-    """Canonical reps of mor_Or(G/src, G/dst), enumerated by cosets a * dst,
-    in the same way as `sub_mors_raw`."""
+    """Canonical reps of mor_Or(G/src, G/dst): the minima of the valid cosets
+    a * dst, in one ascending pass over G."""
     t = G.table
     covered = set()
     out = []
