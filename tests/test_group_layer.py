@@ -50,13 +50,10 @@ def test_enumeration_matches_pairwise_closure(group):
 def test_morphisms_match_per_element_scan(group):
     G, _ = group
     objects = [c.rep for c in subgroup_conjugacy_classes(G).classes]
-    pairs = 0
     for H in objects:
         for K in objects:
             assert sub_mors_raw(G, H, K) == per_g_sub_mors(G.table, H.elems, K.elems)
             assert or_mors_raw(G, H, K) == per_a_or_mors(G.table, H.elems, K.elems)
-            pairs += 1
-    assert pairs == len(objects) ** 2
 
 
 def test_burnside_restriction_matches_min_scan(group):
