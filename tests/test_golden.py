@@ -25,21 +25,37 @@ from equichern.bredon import alpha_map
 from equichern.cli import main
 from equichern.data import bundled_group, bundled_group_names
 from equichern.eicat import Coinduction, Induction
-from equichern.gcw import builtin_examples
+from equichern.gcw import builtin_examples, parse_gcw
 from equichern.mackey import builtin_mackey, mackey_to_sub_module, nu_of_mackey
 
 GOLDEN = Path(__file__).parent / "golden"
 COEFFS = ("constant", "burnside", "repring")
 SPACES = (("dihedral_polygon", "d4"), ("reflection_circle", "z2"), ("s3_triangle", "s3"))
+# test fixtures kept beside the goldens, not bundled, so `selftest` and `info`
+# do not see them; free_wedge_s3 gives alpha a nonempty matrix in degree 1
+FIXTURE_SPACES = (("free_wedge_s3", "s3"),)
 MACKEY_GROUPS = ("s3", "d4", "q8", "a4", "z6", "z2", "z3", "z4", "z5", "z7", "z8", "s4")
 NU_GROUPS = ("s3", "d4", "q8")
 
 
+def _space_arg(space):
+    if space in dict(FIXTURE_SPACES):
+        return str(GOLDEN / f"{space}.gcw")
+    return space
+
+
+def _space(space):
+    group = dict(FIXTURE_SPACES).get(space)
+    if group is None:
+        return builtin_examples(space)
+    return parse_gcw(Path(_space_arg(space)).read_text(encoding="utf-8"), bundled_group(group))
+
+
 def _cases():
     cases = []
-    for space, group in SPACES:
+    for space, group in SPACES + FIXTURE_SPACES:
         for coeff in COEFFS:
-            base = ["--group", group, "--space", space, "--coeff", coeff]
+            base = ["--group", group, "--space", _space_arg(space), "--coeff", coeff]
             cases.append((f"chern_{space}_{coeff}.txt", ["chern", *base]))
             cases.append((f"bredon_{space}_{coeff}.json", ["bredon", *base, "--format", "json"]))
     for group in MACKEY_GROUPS:
@@ -66,7 +82,7 @@ def _nu_text(group, coeff):
 
 
 def _alpha_text(space, coeff):
-    X = builtin_examples(space)
+    X = _space(space)
     M = builtin_mackey(coeff, X.group)
     lines = []
     for p in range(X.dim + 1):
@@ -92,7 +108,7 @@ def _library_cases():
     for group in NU_GROUPS:
         for coeff in COEFFS:
             cases.append((f"nu_{group}_{coeff}.txt", _nu_text, (group, coeff)))
-    for space, _group in SPACES:
+    for space, _group in SPACES + FIXTURE_SPACES:
         for coeff in COEFFS:
             cases.append((f"alpha_{space}_{coeff}.txt", _alpha_text, (space, coeff)))
     for group in NU_GROUPS:
