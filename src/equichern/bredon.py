@@ -168,11 +168,11 @@ def sub_chain_module(X, n):
         src_basis = labels[f.src][n]
         dst_basis = labels[f.dst][n]
         index = {b: k for k, b in enumerate(src_basis)}
-        data = [[Fraction(0)] * len(dst_basis) for _ in range(len(src_basis))]
+        data = [[0] * len(dst_basis) for _ in range(len(src_basis))]
         R_src = cat.objects[f.src]
         for col, (i, g) in enumerate(dst_basis):
             moved = sub_canon_raw(G, R_src, X.cells[n][i].iso, G.mul(g, f.rep))
-            data[index[(i, moved)]][col] = Fraction(1)
+            data[index[(i, moved)]][col] = 1
         maps[f] = RationalMatrix(len(src_basis), len(dst_basis), data)
     module = CatModule(cat, dims, maps, name=f"C_{n}({X.name})").validate()
     X._cache[key] = module
@@ -192,7 +192,7 @@ def sub_boundary_map(X, n):
         src_basis = labels[r][n]
         dst_basis = labels[r][n - 1]
         index = {b: k for k, b in enumerate(dst_basis)}
-        data = [[Fraction(0)] * len(src_basis) for _ in range(len(dst_basis))]
+        data = [[0] * len(src_basis) for _ in range(len(dst_basis))]
         for col, (i, g) in enumerate(src_basis):
             for t in X.boundaries[n][i]:
                 tgt = X.cells[n - 1][t.target]

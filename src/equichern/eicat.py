@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .groups import FiniteGroup, centralizer, subgroup_conjugacy_classes
 from .qlinalg import (
@@ -418,9 +419,9 @@ def free_module(cat, c):
         src_basis = cat.mors[(f.src, c)]
         dst_basis = cat.mors[(f.dst, c)]
         idx = {m: p for p, m in enumerate(src_basis)}
-        mat = [[Fraction(0)] * len(dst_basis) for _ in range(len(src_basis))]
+        mat = [[0] * len(dst_basis) for _ in range(len(src_basis))]
         for col, phi in enumerate(dst_basis):
-            mat[idx[cat.then(f, phi)]][col] = Fraction(1)
+            mat[idx[cat.then(f, phi)]][col] = 1
         maps[f] = RationalMatrix(len(src_basis), len(dst_basis), mat)
     return CatModule(cat, dims, maps, name=f"free({cat.objects[c].literal()})")
 
@@ -459,14 +460,17 @@ def hom_over_category(M, N):
     for f in cat.all_mors():
         x, y = f.src, f.dst
         Mf, Nf = M.maps[f], N.maps[f]
-        # constraint: t_x . M(f) = N(f) . t_y   (both N(x) x M(y))
+        # constraint: t_x . M(f) = N(f) . t_y   (both N(x) x M(y)), times the
+        # common denominator of M(f) and N(f)
+        den = lcm(Mf.den, Nf.den)
+        mf, nf = Mf.numerators_over(den), Nf.numerators_over(den)
         for i in range(N.dims[x]):
             for j in range(M.dims[y]):
-                row = [Fraction(0)] * total
+                row = [0] * total
                 for l in range(M.dims[x]):
-                    row[offsets[x] + i * M.dims[x] + l] += Mf.data[l][j]
+                    row[offsets[x] + i * M.dims[x] + l] += mf[l][j]
                 for k in range(N.dims[y]):
-                    row[offsets[y] + k * M.dims[y] + j] -= Nf.data[i][k]
+                    row[offsets[y] + k * M.dims[y] + j] -= nf[i][k]
                 rows.append(row)
     system = RationalMatrix(len(rows), total, rows) if rows else RationalMatrix.zero(0, total)
     basis = system.kernel_basis()

@@ -10,7 +10,6 @@ centralizer quotient of the fixed points, carrying the Weyl-group action.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .data import bundled_group, bundled_space_text
 from .eicat import (
@@ -148,7 +147,7 @@ def fixed_point_chain(X, H):
     for n in range(1, X.dim + 1):
         rows = len(labels[n - 1])
         cols = len(labels[n])
-        data = [[Fraction(0)] * cols for _ in range(rows)]
+        data = [[0] * cols for _ in range(rows)]
         for col, (i, a) in enumerate(labels[n]):
             for t in X.boundaries[n][i]:
                 tgt = X.cells[n - 1][t.target]
@@ -206,7 +205,7 @@ def quotient_chain(X, H):
     boundaries = [RationalMatrix.zero(0, 0)]
     for n in range(1, X.dim + 1):
         rows, cols = len(labels[n - 1]), len(labels[n])
-        data = [[Fraction(0)] * cols for _ in range(rows)]
+        data = [[0] * cols for _ in range(rows)]
         for col, (i, g) in enumerate(labels[n]):
             for t in X.boundaries[n][i]:
                 tgt = X.cells[n - 1][t.target]
@@ -220,12 +219,12 @@ def quotient_chain(X, H):
         mats = []
         for w in range(W.order):
             n_w = weyl.coset_reps[W.inv(w)]
-            data = [[Fraction(0)] * len(labels[n]) for _ in range(len(labels[n]))]
+            data = [[0] * len(labels[n]) for _ in range(len(labels[n]))]
             for col, (i, g) in enumerate(labels[n]):
                 moved = sub_canon_raw(
                     G, R, X.cells[n][i].iso, G.mul(g, n_w)
                 )
-                data[index[n][(i, moved)]][col] = Fraction(1)
+                data[index[n][(i, moved)]][col] = 1
             mats.append(RationalMatrix(len(labels[n]), len(labels[n]), data))
         actions.append(GroupAction(W, len(labels[n]), tuple(mats)))
     return EvaluatedChainComplex(

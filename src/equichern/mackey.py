@@ -570,7 +570,7 @@ def burnside_mackey(G):
         lcls = ct.class_of(L)
         rows = dims[lcls]
         classes_r = _subgroup_classes_within(G, R)
-        data = [[Fraction(0)] * len(classes_r) for _ in range(rows)]
+        data = [[0] * len(classes_r) for _ in range(rows)]
         t = G.table
         for col, (rep_elems, _members) in enumerate(classes_r):
             # label each r in R by min(rJ), the canonical element of its coset
@@ -607,7 +607,7 @@ def burnside_mackey(G):
         li, t_l = ct.transport(L)
         classes_l = _subgroup_classes_within(G, ct.rep(li))
         classes_r = _subgroup_classes_within(G, R)
-        data = [[Fraction(0)] * len(classes_l) for _ in range(len(classes_r))]
+        data = [[0] * len(classes_l) for _ in range(len(classes_r))]
         for col, (q_elems, _members) in enumerate(classes_l):
             Q = subgroup(G, q_elems, validate=False)
             moved = conjugate_subgroup(G, t_l, Q)  # subgroup of L <= R
@@ -618,7 +618,7 @@ def burnside_mackey(G):
     def weyl(j, n):
         R = ct.rep(j)
         classes_r = _subgroup_classes_within(G, R)
-        data = [[Fraction(0)] * len(classes_r) for _ in range(len(classes_r))]
+        data = [[0] * len(classes_r) for _ in range(len(classes_r))]
         for col, (rep_elems, _members) in enumerate(classes_r):
             J = subgroup(G, rep_elems, validate=False)
             moved = conjugate_subgroup(G, n, J)
@@ -704,9 +704,9 @@ def repring_mackey(G, tables=None):
             if target is None:
                 raise MackeyError("conjugate of an irreducible is not in the table")
             perm.append(target)
-        data = [[Fraction(0)] * dims[j] for _ in range(dims[j])]
+        data = [[0] * dims[j] for _ in range(dims[j])]
         for ii, target in enumerate(perm):
-            data[target][ii] = Fraction(1)
+            data[target][ii] = 1
         return RationalMatrix(dims[j], dims[j], data)
 
     return MackeyFunctor(G, "repring", dims, incl_res, incl_ind, weyl)

@@ -1,12 +1,20 @@
 """Exact linear algebra over Q and group-action invariants.
 
-Everything is built on `fractions.Fraction`; floating point is forbidden
-repository-wide.  Pivots are chosen first-nonzero in row-major order, so all
-reported bases are echelon-canonical and deterministic.
+A `RationalMatrix` stores rows of integer numerators over one positive common
+denominator, in lowest terms: no prime divides the denominator and every
+numerator.  Equal matrices therefore have equal storage, and the kernels work
+on Python ints.  `.data` is the public view of the entries as
+`fractions.Fraction`, built on first use and cached.  Floating point is
+forbidden repository-wide.  Pivots are chosen first-nonzero in row-major
+order, so all reported bases are echelon-canonical and deterministic.
 
-The kernels (`mul`, `rref`, `apply`, `add`) skip structural zeros: they do
-arithmetic only on nonzero entries.  Because the arithmetic is exact, results,
-pivots and bases are the same as those of the dense loops.
+The public constructor coerces every entry to a rational and checks the
+shape; the kernels build their results with the trusted `RationalMatrix._of`.
+`mul`, `rref` and `apply` skip structural zeros.  `rref` eliminates without
+fractions on primitive integer rows (after Bareiss, Math. Comp. 22, 1968) and
+divides each pivot row by its pivot once at the end.  The reduced row echelon
+form of a matrix is unique, so results, pivots and bases are those of
+Gauss-Jordan elimination over `Fraction`.
 
 `solve` takes a matrix of right-hand sides and reduces `[A | B]` once, so
 each exact linear system is solved once for all its columns.  On top of it,
@@ -22,6 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
 
 
 class LinAlgError(ValueError):
@@ -36,18 +46,61 @@ def _frac(x):
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-class RationalMatrix:
-    """An immutable rows x cols matrix of exact rationals."""
+def _reduced(rows, cols, num, den):
+    """The matrix num / den (den > 0) with the common factor cancelled."""
+    if den != 1:
+        g = gcd(den, *chain.from_iterable(num))
+        if g != 1:
+            num = tuple(tuple(x // g for x in row) for row in num)
+            den //= g
+    return RationalMatrix._of(rows, cols, num, den)
 
-    __slots__ = ("rows", "cols", "data", "_rref")
+
+class RationalMatrix:
+    """An immutable rows x cols matrix of exact rationals, stored as the
+    tuple of integer rows `num` over the positive denominator `den`."""
+
+    __slots__ = ("rows", "cols", "num", "den", "_data", "_rref")
 
     def __init__(self, rows, cols, data):
+        entries = [[x if type(x) is int else _frac(x) for x in row] for row in data]
+        if len(entries) != rows or any(len(r) != cols for r in entries):
+            raise LinAlgError("inconsistent matrix dimensions")
+        # the lcm of reduced denominators leaves the numerators in lowest terms
+        den = lcm(*{x.denominator for row in entries for x in row if type(x) is not int})
         self.rows = rows
         self.cols = cols
-        self.data = tuple(tuple(_frac(x) for x in row) for row in data)
+        self.num = tuple(
+            tuple(x * den if type(x) is int else x.numerator * (den // x.denominator) for x in row)
+            for row in entries
+        )
+        self.den = den
+        self._data = None
         self._rref = None
-        if len(self.data) != rows or any(len(r) != cols for r in self.data):
-            raise LinAlgError("inconsistent matrix dimensions")
+
+    @classmethod
+    def _of(cls, rows, cols, num, den=1):
+        """Trusted constructor for data a kernel built: `num` a tuple of
+        `rows` int tuples of length `cols`, over den > 0, in lowest terms."""
+        m = object.__new__(cls)
+        m.rows = rows
+        m.cols = cols
+        m.num = num
+        m.den = den
+        m._data = None
+        m._rref = None
+        return m
+
+    @property
+    def data(self):
+        """The entries as rows of `Fraction`."""
+        if self._data is None:
+            den = self.den
+            if den == 1:
+                self._data = tuple(tuple(map(Fraction, row)) for row in self.num)
+            else:
+                self._data = tuple(tuple(Fraction(x, den) for x in row) for row in self.num)
+        return self._data
 
     @staticmethod
     def from_rows(data):
@@ -58,11 +111,13 @@ class RationalMatrix:
 
     @staticmethod
     def zero(rows, cols):
-        return RationalMatrix(rows, cols, [[0] * cols for _ in range(rows)])
+        return RationalMatrix._of(rows, cols, ((0,) * cols,) * rows)
 
     @staticmethod
     def identity(n):
-        return RationalMatrix(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return RationalMatrix._of(
+            n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+        )
 
     @staticmethod
     def from_columns(cols, dim=None):
@@ -72,6 +127,13 @@ class RationalMatrix:
         elif dim is None:
             raise LinAlgError("from_columns needs the ambient dimension for no columns")
         return RationalMatrix(dim, len(cols), [[c[i] for c in cols] for i in range(dim)])
+
+    def numerators_over(self, den):
+        """The integer rows of the entries times den, a multiple of self.den."""
+        if den == self.den:
+            return self.num
+        f = den // self.den
+        return tuple(tuple(x * f for x in row) for row in self.num)
 
     def column(self, j):
         return tuple(row[j] for row in self.data)
@@ -84,84 +146,97 @@ class RationalMatrix:
             isinstance(other, RationalMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.data == other.data
+            and self.den == other.den
+            and self.num == other.num
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.data))
+        return hash((self.rows, self.cols, self.den, self.num))
 
     def __repr__(self):
         return f"RationalMatrix({self.rows}x{self.cols})"
 
     def is_zero(self):
-        return all(x == 0 for row in self.data for x in row)
+        return not any(map(any, self.num))
 
     def is_identity(self):
-        return self.rows == self.cols and all(
-            x == (1 if i == j else 0) for i, row in enumerate(self.data) for j, x in enumerate(row)
+        return self.rows == self.cols and self.den == 1 and all(
+            x == (1 if i == j else 0) for i, row in enumerate(self.num) for j, x in enumerate(row)
         )
 
     def add(self, other):
         self._check_same_shape(other)
-        return RationalMatrix(
-            self.rows,
-            self.cols,
-            [
-                [(a + b) if a and b else (a or b) for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.data, other.data)
-            ],
+        den = lcm(self.den, other.den)
+        num = tuple(
+            tuple(a + b for a, b in zip(r1, r2))
+            for r1, r2 in zip(self.numerators_over(den), other.numerators_over(den))
         )
+        return _reduced(self.rows, self.cols, num, den)
 
     def sub(self, other):
         return self.add(other.scale(-1))
 
     def scale(self, c):
         c = _frac(c)
-        return RationalMatrix(self.rows, self.cols, [[c * x for x in row] for row in self.data])
+        p = c.numerator
+        num = tuple(tuple(p * x for x in row) for row in self.num)
+        return _reduced(self.rows, self.cols, num, self.den * c.denominator)
 
     def mul(self, other):
         if self.cols != other.rows:
             raise LinAlgError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        zero = Fraction(0)
+        n = other.cols
         # nonzero (col, value) pairs of each row of the right factor
-        sparse = [[(j, b) for j, b in enumerate(row) if b] for row in other.data]
+        sparse = [[(j, b) for j, b in enumerate(row) if b] for row in other.num]
         out = []
-        for row in self.data:
-            acc = {}
+        for row in self.num:
+            acc = [0] * n
             for a, srow in zip(row, sparse):
                 if a:
                     for j, b in srow:
-                        t = a * b
-                        acc[j] = acc[j] + t if j in acc else t
-            out.append([acc.get(j, zero) for j in range(other.cols)])
-        return RationalMatrix(self.rows, other.cols, out)
+                        acc[j] += a * b
+            out.append(tuple(acc))
+        return _reduced(self.rows, n, tuple(out), self.den * other.den)
 
     def apply(self, vec):
         if len(vec) != self.cols:
             raise LinAlgError("vector length mismatch")
         vec = [_frac(b) for b in vec]
-        zero = Fraction(0)
-        return tuple(sum((a * b for a, b in zip(row, vec) if a and b), zero) for row in self.data)
+        d = lcm(*(b.denominator for b in vec))
+        ints = [b.numerator * (d // b.denominator) for b in vec]
+        den = self.den * d
+        return tuple(
+            Fraction(sum(a * b for a, b in zip(row, ints) if a and b), den) for row in self.num
+        )
 
     def transpose(self):
-        data = [[self.data[r][c] for r in range(self.rows)] for c in range(self.cols)]
-        return RationalMatrix(self.cols, self.rows, data)
+        num = tuple(zip(*self.num)) if self.rows else ((),) * self.cols
+        return RationalMatrix._of(self.cols, self.rows, num, self.den)
 
     def _check_same_shape(self, other):
         if self.rows != other.rows or self.cols != other.cols:
             raise LinAlgError("shape mismatch")
 
     def rref(self):
-        """(reduced row echelon form, pivot column indices)."""
+        """(reduced row echelon form, pivot column indices).
+
+        Rows stay primitive integer vectors: eliminating column c from a row
+        replaces it by a.row - b.pivot_row with a, b coprime, then divides out
+        its content.  Each row is a rational multiple of the row Gauss-Jordan
+        elimination over Q would hold, so the pivots are the same."""
         if self._rref is not None:
             return self._rref
-        m = [list(row) for row in self.data]
+        rows, cols = self.rows, self.cols
+        m = []
+        for row in self.num:
+            g = gcd(*row)
+            m.append([x // g for x in row] if g > 1 else list(row))
         pivots = []
         r = 0
-        for c in range(self.cols):
+        for c in range(cols):
             pivot_row = None
-            for i in range(r, self.rows):
-                if m[i][c] != 0:
+            for i in range(r, rows):
+                if m[i][c]:
                     pivot_row = i
                     break
             if pivot_row is None:
@@ -169,22 +244,32 @@ class RationalMatrix:
             m[r], m[pivot_row] = m[pivot_row], m[r]
             prow = m[r]
             # the pivot row is zero left of c
-            nz = [k for k in range(c, self.cols) if prow[k]]
+            nz = [k for k in range(c, cols) if prow[k]]
             pv = prow[c]
-            if pv != 1:
-                for k in nz:
-                    prow[k] = prow[k] / pv
-            for i in range(self.rows):
+            for i in range(rows):
                 row = m[i]
-                if i != r and row[c] != 0:
-                    f = row[c]
+                f = row[c]
+                if i != r and f:
+                    g = gcd(pv, f)
+                    a, b = pv // g, f // g
+                    if a < 0:
+                        a, b = -a, -b
+                    if a != 1:
+                        row = [a * x for x in row]
                     for k in nz:
-                        row[k] = row[k] - f * prow[k]
+                        row[k] -= b * prow[k]
+                    g = gcd(*row)
+                    m[i] = [x // g for x in row] if g > 1 else row
             pivots.append(c)
             r += 1
-            if r == self.rows:
+            if r == rows:
                 break
-        self._rref = (RationalMatrix(self.rows, self.cols, m), tuple(pivots))
+        # rows past the rank are zero; divide each pivot row by its pivot
+        lead = [m[k][p] for k, p in enumerate(pivots)]
+        den = lcm(*lead)
+        num = tuple(tuple(x * (den // pv) for x in m[k]) for k, pv in enumerate(lead))
+        num += ((0,) * cols,) * (rows - len(pivots))
+        self._rref = (_reduced(rows, cols, num, den), tuple(pivots))
         return self._rref
 
     def rank(self):
@@ -195,12 +280,13 @@ class RationalMatrix:
         R, pivots = self.rref()
         pivot_set = set(pivots)
         free = [c for c in range(self.cols) if c not in pivot_set]
+        zero, one = Fraction(0), Fraction(1)
         basis = []
         for f in free:
-            v = [Fraction(0)] * self.cols
-            v[f] = Fraction(1)
+            v = [zero] * self.cols
+            v[f] = one
             for r, p in enumerate(pivots):
-                v[p] = -R.data[r][f]
+                v[p] = Fraction(-R.num[r][f], R.den)
             basis.append(tuple(v))
         return tuple(basis)
 
@@ -230,10 +316,23 @@ class RationalMatrix:
         R, pivots = hstack([self, B]).rref()
         if pivots and pivots[-1] >= self.cols:
             raise InconsistentSystemError("inconsistent linear system")
-        data = [[Fraction(0)] * B.cols for _ in range(self.cols)]
+        num = [(0,) * B.cols] * self.cols
         for r, p in enumerate(pivots):
-            data[p] = R.data[r][self.cols:]
-        return RationalMatrix(self.cols, B.cols, data)
+            num[p] = R.num[r][self.cols:]
+        return _reduced(self.cols, B.cols, tuple(num), R.den)
+
+    def top_rows(self, k):
+        """The matrix of the first k rows."""
+        return _reduced(k, self.cols, self.num[:k], self.den)
+
+    def column_block(self, start, stop):
+        """The matrix of columns start..stop-1."""
+        num = tuple(row[start:stop] for row in self.num)
+        return _reduced(self.rows, stop - start, num, self.den)
+
+
+# The lcm of denominators in lowest terms keeps the stacked numerators in
+# lowest terms, so the stacking functions build with the trusted constructor.
 
 
 def hstack(mats):
@@ -241,8 +340,11 @@ def hstack(mats):
     rows = mats[0].rows
     if any(m.rows != rows for m in mats):
         raise LinAlgError("hstack row mismatch")
-    data = [sum((list(m.data[i]) for m in mats), []) for i in range(rows)]
-    return RationalMatrix(rows, sum(m.cols for m in mats), data)
+    den = lcm(*(m.den for m in mats))
+    num = tuple(
+        tuple(chain.from_iterable(parts)) for parts in zip(*(m.numerators_over(den) for m in mats))
+    )
+    return RationalMatrix._of(rows, sum(m.cols for m in mats), num, den)
 
 
 def vstack(mats):
@@ -250,14 +352,16 @@ def vstack(mats):
     cols = mats[0].cols
     if any(m.cols != cols for m in mats):
         raise LinAlgError("vstack column mismatch")
-    data = [row for m in mats for row in m.data]
-    return RationalMatrix(sum(m.rows for m in mats), cols, data)
+    den = lcm(*(m.den for m in mats))
+    num = tuple(chain.from_iterable(m.numerators_over(den) for m in mats))
+    return RationalMatrix._of(sum(m.rows for m in mats), cols, num, den)
 
 
 def block_matrix(blocks, row_dims, col_dims):
     """Assemble a matrix from a {(i,j): RationalMatrix} dict of blocks."""
     total_r, total_c = sum(row_dims), sum(col_dims)
-    data = [[Fraction(0)] * total_c for _ in range(total_r)]
+    den = lcm(*(blk.den for blk in blocks.values()))
+    data = [[0] * total_c for _ in range(total_r)]
     roff = [0]
     for d in row_dims:
         roff.append(roff[-1] + d)
@@ -267,10 +371,9 @@ def block_matrix(blocks, row_dims, col_dims):
     for (i, j), blk in blocks.items():
         if blk.rows != row_dims[i] or blk.cols != col_dims[j]:
             raise LinAlgError(f"block ({i},{j}) has wrong shape")
-        for r in range(blk.rows):
-            for c in range(blk.cols):
-                data[roff[i] + r][coff[j] + c] = blk.data[r][c]
-    return RationalMatrix(total_r, total_c, data)
+        for r, row in enumerate(blk.numerators_over(den)):
+            data[roff[i] + r][coff[j]:coff[j] + blk.cols] = row
+    return RationalMatrix._of(total_r, total_c, tuple(map(tuple, data)), den)
 
 
 def complement_in(image, vectors, dim):
@@ -287,8 +390,7 @@ def induced_map(m, src, reps, image):
     """The map induced by m from the columns of src to the span of reps
     modulo image: column j holds the reps-coordinates of m.src_j in
     [reps | image]."""
-    X = hstack([reps, image]).solve(m.mul(src))
-    return RationalMatrix(reps.cols, src.cols, X.data[: reps.cols])
+    return hstack([reps, image]).solve(m.mul(src)).top_rows(reps.cols)
 
 
 def induced_action(action, reps, image):
@@ -296,11 +398,8 @@ def induced_action(action, reps, image):
     from one solve: the right-hand side holds every mats[g].reps side by
     side, and column block g of the solution is the matrix of g."""
     k = reps.cols
-    X = hstack([reps, image]).solve(hstack([m.mul(reps) for m in action.mats]))
-    mats = tuple(
-        RationalMatrix(k, k, [row[g * k:(g + 1) * k] for row in X.data[:k]])
-        for g in range(len(action.mats))
-    )
+    X = hstack([reps, image]).solve(hstack([m.mul(reps) for m in action.mats])).top_rows(k)
+    mats = tuple(X.column_block(g * k, (g + 1) * k) for g in range(len(action.mats)))
     return GroupAction(action.group, k, mats)
 
 
@@ -337,7 +436,7 @@ class GroupAction:
 
     def character(self):
         """Trace per group element (basis-independent fingerprint)."""
-        return tuple(sum(m.data[i][i] for i in range(self.dim)) for m in self.mats)
+        return tuple(Fraction(sum(m.num[i][i] for i in range(self.dim)), m.den) for m in self.mats)
 
 
 def averaging_projector(action, elems):
@@ -370,17 +469,20 @@ def equivariant_hom_dim(A, B):
         return 0
     if not gens:
         return A.dim * B.dim
-    # unknown F is dimB x dimA; constraint B(w) F - F A(w) = 0 per generator
+    # unknown F is dimB x dimA; constraint B(w) F - F A(w) = 0 per generator,
+    # times the common denominator of B(w) and A(w)
     rows = []
     for w in gens:
         Bw, Aw = B.mats[w], A.mats[w]
+        den = lcm(Bw.den, Aw.den)
+        bw, aw = Bw.numerators_over(den), Aw.numerators_over(den)
         for i in range(B.dim):
             for j in range(A.dim):
-                row = [Fraction(0)] * (A.dim * B.dim)
+                row = [0] * (A.dim * B.dim)
                 for k in range(B.dim):
-                    row[k * A.dim + j] += Bw.data[i][k]
+                    row[k * A.dim + j] += bw[i][k]
                 for l in range(A.dim):
-                    row[i * A.dim + l] -= Aw.data[l][j]
+                    row[i * A.dim + l] -= aw[l][j]
                 rows.append(row)
     M = RationalMatrix(len(rows), A.dim * B.dim, rows)
-    return len(M.kernel_basis())
+    return M.cols - len(M.rref()[1])

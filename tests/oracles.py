@@ -171,6 +171,43 @@ def dense_mul(a, b):
     return a.rows, b.cols, _frozen(out)
 
 
+def dense_add(a, b):
+    """(rows, cols, data) of a + b, entry by entry over Fraction."""
+    out = [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(a.data, b.data)]
+    return a.rows, a.cols, _frozen(out)
+
+
+def dense_scale(a, c):
+    """(rows, cols, data) of c.a, entry by entry over Fraction."""
+    return a.rows, a.cols, _frozen([[Fraction(c) * x for x in row] for row in a.data])
+
+
+def dense_hstack(mats):
+    """(rows, cols, data) of the matrices side by side."""
+    rows = mats[0].rows
+    out = [[x for m in mats for x in m.data[i]] for i in range(rows)]
+    return rows, sum(m.cols for m in mats), _frozen(out)
+
+
+def dense_vstack(mats):
+    """(rows, cols, data) of the matrices one above the other."""
+    out = [row for m in mats for row in m.data]
+    return sum(m.rows for m in mats), mats[0].cols, _frozen(out)
+
+
+def dense_block_matrix(blocks, row_dims, col_dims):
+    """(rows, cols, data) of the block matrix, zero outside the blocks."""
+    out = []
+    for i, r_dim in enumerate(row_dims):
+        for r in range(r_dim):
+            row = []
+            for j, c_dim in enumerate(col_dims):
+                blk = blocks.get((i, j))
+                row += list(blk.data[r]) if blk is not None else [0] * c_dim
+            out.append(row)
+    return sum(row_dims), sum(col_dims), _frozen(out)
+
+
 def dense_rref(a):
     """(reduced row echelon data, pivot columns) by dense Gauss-Jordan
     elimination with first-nonzero pivots in row-major order."""

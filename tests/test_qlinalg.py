@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -18,11 +19,14 @@ from equichern.qlinalg import (
     InconsistentSystemError,
     RationalMatrix,
     averaging_projector,
+    block_matrix,
     complement_in,
     equivariant_hom_dim,
+    hstack,
     induced_action,
     induced_map,
     invariants,
+    vstack,
 )
 
 import oracles
@@ -98,6 +102,142 @@ def test_sparse_kernels_match_dense_oracles():
             image = a.apply(vec)
             assert image == tuple(sum(x * y for x, y in zip(row, vec)) for row in a.data)
             _assert_fractions([image])
+
+
+def _assert_canonical(m):
+    """Integer rows over a positive denominator in lowest terms, agreeing
+    with the Fraction view."""
+    assert len(m.num) == m.rows
+    assert all(len(row) == m.cols and all(type(x) is int for x in row) for row in m.num)
+    assert type(m.den) is int and m.den > 0
+    assert gcd(m.den, *(x for row in m.num for x in row)) == 1
+    _assert_fractions(m.data)
+    assert m.data == tuple(tuple(Fraction(x, m.den) for x in row) for row in m.num)
+
+
+def _mixed_matrix(rng, rows, cols):
+    """Entries over one of several denominators, so operands mix them."""
+    den = rng.choice((1, 2, 3, 4, 6, 9))
+    return RationalMatrix(
+        rows, cols, [[Fraction(rng.randint(-5, 5), den) for _ in range(cols)] for _ in range(rows)]
+    )
+
+
+def test_storage_is_canonical():
+    rng = random.Random(41)
+    for _ in range(60):
+        rows, cols, inner = rng.randint(0, 5), rng.randint(0, 5), rng.randint(0, 4)
+        a, b = _mixed_matrix(rng, rows, cols), _mixed_matrix(rng, rows, cols)
+        left, right = _mixed_matrix(rng, rows, inner), _mixed_matrix(rng, inner, cols)
+        c = Fraction(rng.choice((-6, -1, 1, 3)), rng.choice((1, 2, 6)))
+        R, _pivots = a.rref()
+        built = [
+            a, a.add(b), a.sub(b), a.sub(a), a.scale(c), a.scale(0), a.transpose(),
+            left.mul(right), R, hstack([a, b]), vstack([a, b]),
+            block_matrix({(0, 1): a, (1, 0): b}, [rows, rows], [cols, cols]),
+        ]
+        if rows:
+            B = left.mul(right)
+            X = left.solve(B)
+            assert left.mul(X) == B
+            built.append(X)
+        for m in built:
+            _assert_canonical(m)
+    # the public constructor takes ints, Fractions and strings alike
+    m = RationalMatrix(2, 2, [[Fraction(2, 4), "1/3"], [0, -1]])
+    _assert_canonical(m)
+    assert (m.num, m.den) == (((3, 2), (0, -6)), 6)
+    assert RationalMatrix.zero(2, 3).den == 1
+
+
+def test_equal_matrices_have_equal_storage():
+    rng = random.Random(43)
+    for _ in range(40):
+        rows, cols = rng.randint(0, 5), rng.randint(0, 5)
+        a = _mixed_matrix(rng, rows, cols)
+        same = [
+            a.scale(Fraction(1, 2)).scale(2),
+            a.scale(3).scale(Fraction(1, 3)),
+            a.add(a).scale(Fraction(1, 2)),
+            a.add(RationalMatrix.zero(rows, cols)),
+            a.transpose().transpose(),
+            RationalMatrix(rows, cols, [[str(x) for x in row] for row in a.data]),
+            RationalMatrix.identity(rows).mul(a),
+            a.mul(RationalMatrix.identity(cols)),
+        ]
+        if cols >= 2:
+            k = rng.randint(1, cols - 1)
+            cut = RationalMatrix.from_columns(a.columns()[:k], dim=rows)
+            rest = RationalMatrix.from_columns(a.columns()[k:], dim=rows)
+            same.append(hstack([cut, rest]))
+        for m in same:
+            assert m == a
+            assert hash(m) == hash(a)
+            assert (m.num, m.den) == (a.num, a.den)
+        assert a.sub(a) == RationalMatrix.zero(rows, cols)
+        assert a.sub(a).is_zero()
+    half = M([[Fraction(1, 2)]])
+    assert half != M([[1]]) and half.scale(2) == M([[1]])
+    assert half.scale(2).is_identity() and not half.is_identity()
+
+
+def test_stacking_and_blocks_match_dense_oracles():
+    rng = random.Random(47)
+    for _ in range(40):
+        rows, cols = rng.randint(0, 4), rng.randint(0, 4)
+        a, b = _mixed_matrix(rng, rows, cols), _mixed_matrix(rng, rows, cols)
+        c = Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+        for got, expected in (
+            (a.add(b), oracles.dense_add(a, b)),
+            (a.scale(c), oracles.dense_scale(a, c)),
+        ):
+            assert (got.rows, got.cols, got.data) == expected
+        widths = [rng.randint(0, 3) for _ in range(rng.randint(1, 3))]
+        parts = [_mixed_matrix(rng, rows, w) for w in widths]
+        h = hstack(parts)
+        assert (h.rows, h.cols, h.data) == oracles.dense_hstack(parts)
+        heights = [rng.randint(0, 3) for _ in range(rng.randint(1, 3))]
+        parts = [_mixed_matrix(rng, h_, cols) for h_ in heights]
+        v = vstack(parts)
+        assert (v.rows, v.cols, v.data) == oracles.dense_vstack(parts)
+        row_dims = [rng.randint(0, 3) for _ in range(rng.randint(1, 3))]
+        col_dims = [rng.randint(0, 3) for _ in range(rng.randint(1, 3))]
+        blocks = {
+            (i, j): _mixed_matrix(rng, ri, cj)
+            for i, ri in enumerate(row_dims)
+            for j, cj in enumerate(col_dims)
+            if rng.random() < 0.6
+        }
+        blk = block_matrix(blocks, row_dims, col_dims)
+        assert (blk.rows, blk.cols, blk.data) == oracles.dense_block_matrix(
+            blocks, row_dims, col_dims
+        )
+        for m in (h, v, blk):
+            _assert_fractions(m.data)
+
+
+def test_rref_with_non_unit_and_negative_pivots():
+    cases = [
+        M([[-2, 3, 1], [4, -6, 5]]),
+        M([[0, -3, 6], [-5, 10, 0], [7, 1, -1]]),
+        M([[Fraction(-2, 3), Fraction(4, 9)], [Fraction(6, 5), Fraction(-4, 5)]]),
+        M([[6, 10, 15], [-4, 9, 1], [2, 19, 16]]),
+    ]
+    rng = random.Random(53)
+    for _ in range(60):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        entries = [[rng.choice((-7, -4, -3, -2, 0, 2, 3, 5, 9)) for _ in range(cols)] for _ in range(rows)]
+        cases.append(M(entries))
+        # rank at most 2, with large non-unit pivots
+        low = _mixed_matrix(rng, rows, 2).mul(_mixed_matrix(rng, 2, cols)).scale(-12)
+        cases.append(low)
+    for m in cases:
+        R, pivots = m.rref()
+        assert (R.data, pivots) == oracles.dense_rref(m)
+        _assert_canonical(R)
+        for v in m.kernel_basis():
+            _assert_fractions([v])
+            assert not any(m.apply(v))
 
 
 def test_is_identity():
