@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclotomic import Cyclotomic, format_cyclotomic, parse_cyclotomic
-from .groups import as_group, element_conjugacy_classes, find_isomorphism
+from .cyclotomic import Cyclotomic, CyclotomicError, format_cyclotomic, parse_cyclotomic
+from .groups import as_group, element_conjugacy_classes, find_isomorphism, parse_int
 from .qlinalg import RationalMatrix
 
 
@@ -169,12 +169,17 @@ def parse_character_table(text, G):
         if name is None:
             if not line.startswith("chartab"):
                 raise ChartabError(f"line {lineno}: expected `chartab <name>`")
-            name = line.split(None, 1)[1].strip()
+            name = line[len("chartab"):].strip()
+            if not name:
+                raise ChartabError(f"line {lineno}: expected `chartab <name>`")
             continue
         if reps is None:
             if not line.startswith("classes:"):
                 raise ChartabError(f"line {lineno}: expected `classes:`")
-            reps = tuple(int(tok) for tok in line.split(":", 1)[1].split())
+            reps = tuple(
+                parse_int(tok, "class representative", ChartabError, lineno)
+                for tok in line.split(":", 1)[1].split()
+            )
             if reps != reps_expected:
                 raise ChartabError(
                     f"line {lineno}: class representatives {reps} do not match "
@@ -185,7 +190,10 @@ def parse_character_table(text, G):
             raise ChartabError(f"line {lineno}: expected `chi <name>: ...`")
         head, _, body = line.partition(":")
         chi_name = head[3:].strip()
-        values = tuple(parse_cyclotomic(tok) for tok in body.split(","))
+        try:
+            values = tuple(parse_cyclotomic(tok) for tok in body.split(","))
+        except CyclotomicError as exc:
+            raise ChartabError(f"line {lineno}: {exc}") from None
         if len(values) != len(reps_expected):
             raise ChartabError(
                 f"line {lineno}: {len(values)} values for {len(reps_expected)} classes"

@@ -41,6 +41,8 @@ from .mackey import (
     validate_mackey,
 )
 
+# The library's own input errors, unreadable files and files that are not
+# UTF-8 text. Anything else is a bug and propagates with its traceback.
 INPUT_ERRORS = (
     GroupError,
     GroupParseError,
@@ -50,8 +52,7 @@ INPUT_ERRORS = (
     CyclotomicError,
     CategoryError,
     OSError,
-    KeyError,
-    ValueError,
+    UnicodeDecodeError,
 )
 
 

@@ -271,10 +271,15 @@ def parse_cyclotomic(text):
         m = _TERM_RE.match(term)
         if not m or (m.group("coef") is None and m.group("cond") is None):
             raise CyclotomicError(f"bad cyclotomic term {term!r} in {text!r}")
-        coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
+        try:
+            coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
+        except ZeroDivisionError:
+            raise CyclotomicError(f"zero denominator in {term!r}") from None
         coef *= sgn
         if m.group("cond"):
             n = int(m.group("cond"))
+            if n == 0:
+                raise CyclotomicError(f"z(0) is not a root of unity, in {term!r}")
             k = int(m.group("pow") or 1)
             total = total + Cyclotomic.root(n, k) * Cyclotomic.rational(coef)
         else:

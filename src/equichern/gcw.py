@@ -22,6 +22,7 @@ from .eicat import (
 from .groups import (
     Subgroup,
     full_subgroup,
+    parse_int,
     parse_subgroup_literal,
     subgroup_conjugacy_classes,
 )
@@ -310,6 +311,7 @@ def orbit_complex(G, H):
 def parse_gcw(text, G):
     """Parse the line-oriented G-CW file format."""
     name = None
+    group_name = None
     dim = None
     cells = {}
     boundary_lines = []
@@ -317,19 +319,23 @@ def parse_gcw(text, G):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        head = line.split()[0]
+        head, value = (line.split(None, 1) + [""])[:2]
+        if head in ("gcw", "group", "dim") and not value:
+            raise GcwError(f"line {lineno}: expected `{head} <value>`")
         if head == "gcw":
-            name = line.split(None, 1)[1].strip()
+            name = value
         elif head == "group":
-            group_name = line.split(None, 1)[1].strip()
+            group_name = value
             if group_name != G.name:
                 raise GcwError(f"line {lineno}: space declares {group_name}, got {G.name}")
         elif head == "dim":
-            dim = int(line.split()[1])
+            dim = parse_int(value, "dimension", GcwError, lineno)
+            if dim < 0:
+                raise GcwError(f"line {lineno}: negative dimension {dim}")
         elif head == "cells":
             rest = line[len("cells"):].strip()
             deg_txt, _, body = rest.partition(":")
-            degree = int(deg_txt)
+            degree = parse_int(deg_txt.strip(), "cell degree", GcwError, lineno)
             found = []
             for chunk in body.split(";"):
                 chunk = chunk.strip()
@@ -341,14 +347,18 @@ def parse_gcw(text, G):
                     raise GcwError(f"line {lineno}: bad cell declaration {chunk!r}")
                 iso = parse_subgroup_literal(iso_txt.strip(), G)
                 found.append(Cell(ident, iso))
-            cells[degree] = tuple(found)
+            cells[degree] = (lineno, tuple(found))
         elif head == "boundary":
             boundary_lines.append((lineno, line))
         else:
             raise GcwError(f"line {lineno}: unexpected {line!r}")
-    if name is None or dim is None:
-        raise GcwError("missing gcw/dim header")
-    cell_tuple = tuple(cells.get(n, ()) for n in range(dim + 1))
+    for header, value in (("gcw", name), ("group", group_name), ("dim", dim)):
+        if value is None:
+            raise GcwError(f"missing `{header}` header")
+    for degree, (lineno, _cells) in cells.items():
+        if not 0 <= degree <= dim:
+            raise GcwError(f"line {lineno}: cell degree {degree} outside 0..{dim}")
+    cell_tuple = tuple(cells[n][1] if n in cells else () for n in range(dim + 1))
     ident_index = {}
     for n, cs in enumerate(cell_tuple):
         for i, c in enumerate(cs):
@@ -411,7 +421,7 @@ def _parse_boundary_sum(text, ident_index, degree, G, lineno):
                     f"line {lineno}: boundary coefficients must be integers, "
                     f"got {coeff_txt!r}"
                 )
-            coeff *= int(coeff_txt)
+            coeff *= parse_int(coeff_txt, "boundary coefficient", GcwError, lineno)
             chunk = rest.strip()
         if not (chunk.startswith("(") and chunk.endswith(")")):
             raise GcwError(f"line {lineno}: bad boundary term {chunk!r}")
@@ -424,7 +434,7 @@ def _parse_boundary_sum(text, ident_index, degree, G, lineno):
             raise GcwError(
                 f"line {lineno}: boundary target {ident!r} is not one degree down"
             )
-        rep = int(g_txt.strip())
+        rep = parse_int(g_txt.strip(), "morphism element", GcwError, lineno)
         if not 0 <= rep < G.order:
             raise GcwError(f"line {lineno}: morphism element {rep} out of range")
         terms.append(BoundaryTerm(coeff, ti, rep))

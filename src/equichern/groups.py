@@ -559,6 +559,15 @@ def _build_hom(A, B, gens, images):
     return out
 
 
+def parse_int(token, what, error, lineno):
+    """int(token); a token that is not an integer raises `error` naming the
+    line and what the token stands for."""
+    try:
+        return int(token)
+    except ValueError:
+        raise error(f"line {lineno}: bad {what} {token!r}") from None
+
+
 def parse_subgroup_literal(text, G):
     text = text.strip()
     if not (text.startswith("{") and text.endswith("}")):

@@ -27,9 +27,10 @@ from .groups import (
     element_conjugacy_classes,
     enumerate_subgroups,
     normalizer,
+    parse_int,
+    parse_subgroup_literal,
     subgroup,
     subgroup_conjugacy_classes,
-    parse_subgroup_literal,
 )
 from .qlinalg import GroupAction, RationalMatrix, induced_action, vstack
 
@@ -775,28 +776,37 @@ def parse_mackey(text, G):
     conj_data = {}
     res_data = {}
     ind_data = {}
-    pending = None  # (kind, key, rows_needed, cols, rows)
+    pending = None  # (kind, key, rows_needed, cols, rows, line of the block header)
     lines = text.splitlines()
 
     def close_pending():
         nonlocal pending
         if pending is None:
             return
-        kind, key, need, cols, rows = pending
+        kind, key, need, cols, rows, at = pending
         if len(rows) != need:
-            raise MackeyError(f"expected {need} matrix rows for {kind} {key}")
+            raise MackeyError(f"line {at}: expected {need} matrix rows for {kind}, got {len(rows)}")
         m = RationalMatrix(need, cols, rows)
         {"conj": conj_data, "res": res_data, "ind": ind_data}[kind][key] = m
         pending = None
+
+    def declared_dim(j, head, lineno):
+        if j not in dims:
+            raise MackeyError(f"line {lineno}: {head} before object declaration")
+        return dims[j]
 
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
             continue
         stripped = line.strip()
-        head = stripped.split()[0]
-        if head in ("mackey", "group", "object", "conj", "res", "ind"):
+        parts = stripped.split()
+        head = parts[0]
+        arity = {"mackey": 2, "group": 2, "object": 4, "conj": 3, "res": 3, "ind": 3}.get(head)
+        if arity is not None:
             close_pending()
+            if len(parts) < arity:
+                raise MackeyError(f"line {lineno}: too few fields for `{head}`")
         if head == "mackey":
             name = stripped.split(None, 1)[1]
             continue
@@ -808,7 +818,6 @@ def parse_mackey(text, G):
                 )
             continue
         if head == "object":
-            parts = stripped.split()
             sub = parse_subgroup_literal(parts[1], G)
             if parts[2] != "dim":
                 raise MackeyError(f"line {lineno}: expected `dim`")
@@ -817,20 +826,20 @@ def parse_mackey(text, G):
                 raise MackeyError(
                     f"line {lineno}: {sub.literal()} is not a class representative"
                 )
-            dims[j] = int(parts[3])
+            dims[j] = parse_int(parts[3], "dimension", MackeyError, lineno)
+            if dims[j] < 0:
+                raise MackeyError(f"line {lineno}: negative dimension {dims[j]}")
             continue
         if head == "conj":
-            parts = stripped.split()
-            n = int(parts[1])
+            n = parse_int(parts[1], "group element", MackeyError, lineno)
+            if not 0 <= n < G.order:
+                raise MackeyError(f"line {lineno}: group element {n} out of range")
             sub = parse_subgroup_literal(parts[2], G)
             j = ct.class_of(sub)
-            d = dims.get(j)
-            if d is None:
-                raise MackeyError(f"line {lineno}: conj before object declaration")
-            pending = ("conj", (j, n), d, d, [])
+            d = declared_dim(j, head, lineno)
+            pending = ("conj", (j, n), d, d, [], lineno)
             continue
         if head in ("res", "ind"):
-            parts = stripped.split()
             L = parse_subgroup_literal(parts[1], G)
             R = parse_subgroup_literal(parts[2], G)
             j = ct.class_of(R)
@@ -839,15 +848,24 @@ def parse_mackey(text, G):
                 raise MackeyError(
                     f"line {lineno}: {R.literal()} is not a class representative"
                 )
+            d_l, d_r = declared_dim(li, head, lineno), declared_dim(j, head, lineno)
             if head == "res":
-                pending = ("res", (L.elems, j), dims[li], dims[j], [])
+                pending = ("res", (L.elems, j), d_l, d_r, [], lineno)
             else:
-                pending = ("ind", (L.elems, j), dims[j], dims[li], [])
+                pending = ("ind", (L.elems, j), d_r, d_l, [], lineno)
             continue
         # a matrix row
         if pending is None:
             raise MackeyError(f"line {lineno}: unexpected content {stripped!r}")
-        pending[4].append([Fraction(tok) for tok in stripped.split()])
+        try:
+            row = [Fraction(tok) for tok in parts]
+        except (ValueError, ZeroDivisionError):
+            raise MackeyError(f"line {lineno}: bad matrix row {stripped!r}") from None
+        if len(row) != pending[3]:
+            raise MackeyError(
+                f"line {lineno}: matrix row has {len(row)} entries, expected {pending[3]}"
+            )
+        pending[4].append(row)
     close_pending()
     if name is None or group_name is None:
         raise MackeyError("missing mackey/group header")

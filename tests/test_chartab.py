@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from equichern.chartab import (
@@ -152,3 +154,20 @@ def test_inner_products_are_rational_on_validated_tables():
         for chi in t.irreducibles:
             for psi in t.irreducibles:
                 assert inner_product(t, chi.values, psi.values).is_rational()
+
+
+@pytest.mark.parametrize(
+    "old,new,message",
+    [
+        ("chartab s3", "chartab", "line 1: expected `chartab <name>`"),
+        ("classes: 0 1 3", "classes: 0 one 3", "line 2: bad class representative 'one'"),
+        ("chi sgn: 1, -1, 1", "chi sgn: 1, -1/0, 1", "line 4: zero denominator"),
+        ("chi sgn: 1, -1, 1", "chi sgn: 1, z(0), 1", "line 4: z(0) is not a root of unity"),
+        ("chi std: 2, 0, -1", "chi std: 2, 0, x", "line 5: bad cyclotomic term 'x'"),
+    ],
+)
+def test_bad_character_table_names_the_line(s3, old, new, message):
+    text = bundled_chartab_text("s3")
+    assert old in text
+    with pytest.raises(ChartabError, match=re.escape(message)):
+        parse_character_table(text.replace(old, new), s3)

@@ -307,3 +307,118 @@ def test_selftest_fails_when_enumeration_drops_a_subgroup(capsys, monkeypatch):
     code, out, _ = run(capsys, "selftest", "--quick")
     assert code == 1
     assert "FAIL group z2: subgroup count oracle: subgroup count mismatch" in out
+
+
+# negative controls: every bad input file exits 2 and names the cause
+
+WEDGE_GCW = (
+    "gcw t\n"
+    "group s3\n"
+    "dim 1\n"
+    "cells 0: v iso={0}\n"
+    "cells 1: e iso={0}; f iso={0}\n"
+    "boundary e = (v, 1) - (v, 0)\n"
+    "boundary f = (v, 3) - (v, 0)\n"
+)
+
+
+def _with_line(text, lineno, replacement):
+    """text with line `lineno` (from 1) replaced, or dropped for None."""
+    lines = text.splitlines()
+    if replacement is None:
+        del lines[lineno - 1]
+    else:
+        lines[lineno - 1] = replacement
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "lineno,replacement,message",
+    [
+        (3, "dim one", "line 3: bad dimension 'one'"),
+        (3, "dim", "line 3: expected `dim <value>`"),
+        (1, "gcw", "line 1: expected `gcw <value>`"),
+        (4, "cells zero: v iso={0}", "line 4: bad cell degree 'zero'"),
+        (5, "cells 2: e iso={0}; f iso={0}", "line 5: cell degree 2 outside 0..1"),
+        (6, "boundary e = x*(v, 1) - (v, 0)", "line 6: bad boundary coefficient 'x'"),
+        (7, "boundary f = (v, g) - (v, 0)", "line 7: bad morphism element 'g'"),
+        (2, None, "missing `group` header"),
+    ],
+)
+def test_bad_gcw_file_exits_2_naming_the_line(tmp_path, capsys, lineno, replacement, message):
+    path = tmp_path / "bad.gcw"
+    path.write_text(_with_line(WEDGE_GCW, lineno, replacement))
+    code, out, err = run(capsys, "chern", "--group", "s3", "--space", str(path), "--coeff", "burnside")
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+def test_wedge_gcw_is_good(tmp_path, capsys):
+    path = tmp_path / "good.gcw"
+    path.write_text(WEDGE_GCW)
+    code, out, _err = run(capsys, "chern", "--group", "s3", "--space", str(path), "--coeff", "burnside")
+    assert code == 0
+    assert "n=1 bredon=2 chern-target=2 ok" in out
+
+
+@pytest.mark.parametrize(
+    "lineno,replacement,message",
+    [
+        (1, "mackey", "line 1: too few fields for `mackey`"),
+        (3, "object {0} dim x", "line 3: bad dimension 'x'"),
+        (3, "object {0} dim -1", "line 3: negative dimension -1"),
+        (4, "object {0,1}", "line 4: too few fields for `object`"),
+        (11, "conj x {0,3,4}", "line 11: bad group element 'x'"),
+        (11, "conj 9 {0,3,4}", "line 11: group element 9 out of range"),
+        (11, "conj 1", "line 11: too few fields for `conj`"),
+        (8, "  1/0", "line 8: bad matrix row '1/0'"),
+        (8, "  one", "line 8: bad matrix row 'one'"),
+        (8, "  1 2", "line 8: matrix row has 2 entries, expected 1"),
+        (8, None, "line 7: expected 1 matrix rows for res, got 0"),
+        (3, "res {0} {0,1}", "line 3: res before object declaration"),
+        (3, "ind {0} {0,1}", "line 3: ind before object declaration"),
+        (2, None, "missing mackey/group header"),
+    ],
+)
+def test_bad_mackey_file_exits_2_naming_the_line(tmp_path, capsys, lineno, replacement, message):
+    from equichern.data import bundled_group
+    from equichern.mackey import constant_mackey, format_mackey
+
+    text = format_mackey(constant_mackey(bundled_group("s3")))
+    assert text.splitlines()[6:8] == ["res {0} {0,1}", "  1"]
+    assert text.splitlines()[10] == "conj 1 {0,3,4}"
+    path = tmp_path / "bad.mky"
+    path.write_text(_with_line(text, lineno, replacement))
+    code, out, err = run(capsys, "mackey", "--group", "s3", "--coeff", f"file:{path}")
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+def test_undecodable_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "binary.grp"
+    path.write_bytes(b"group g\norder 1\n\xff\n")
+    code, out, err = run(capsys, "info", "--group", str(path))
+    assert (code, out) == (2, "")
+    assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "target,argv",
+    [
+        ("verify_collapse", ["chern", "--group", "s3", "--space", "point", "--coeff", "burnside"]),
+        ("validate_mackey", ["mackey", "--group", "s3", "--coeff", "burnside"]),
+    ],
+)
+@pytest.mark.parametrize("error", ["LinAlgError", "KeyError"])
+def test_internal_errors_are_not_input_errors(monkeypatch, target, argv, error):
+    from equichern import cli
+    from equichern.qlinalg import LinAlgError
+
+    exc_type = {"LinAlgError": LinAlgError, "KeyError": KeyError}[error]
+
+    def broken(*args, **kwargs):
+        raise exc_type("internal")
+
+    monkeypatch.setattr(cli, target, broken)
+    with pytest.raises(exc_type):
+        main(argv)
