@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .groups import FiniteGroup, centralizer, subgroup_conjugacy_classes
 from .qlinalg import (
@@ -460,17 +459,14 @@ def hom_over_category(M, N):
     for f in cat.all_mors():
         x, y = f.src, f.dst
         Mf, Nf = M.maps[f], N.maps[f]
-        # constraint: t_x . M(f) = N(f) . t_y   (both N(x) x M(y)), times the
-        # common denominator of M(f) and N(f)
-        den = lcm(Mf.den, Nf.den)
-        mf, nf = Mf.numerators_over(den), Nf.numerators_over(den)
+        # constraint: t_x . M(f) = N(f) . t_y   (both N(x) x M(y))
         for i in range(N.dims[x]):
             for j in range(M.dims[y]):
-                row = [0] * total
+                row = [Fraction(0)] * total
                 for l in range(M.dims[x]):
-                    row[offsets[x] + i * M.dims[x] + l] += mf[l][j]
+                    row[offsets[x] + i * M.dims[x] + l] += Mf.data[l][j]
                 for k in range(N.dims[y]):
-                    row[offsets[y] + k * M.dims[y] + j] -= nf[i][k]
+                    row[offsets[y] + k * M.dims[y] + j] -= Nf.data[i][k]
                 rows.append(row)
     system = RationalMatrix(len(rows), total, rows) if rows else RationalMatrix.zero(0, total)
     basis = system.kernel_basis()

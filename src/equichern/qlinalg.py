@@ -128,7 +128,7 @@ class RationalMatrix:
             raise LinAlgError("from_columns needs the ambient dimension for no columns")
         return RationalMatrix(dim, len(cols), [[c[i] for c in cols] for i in range(dim)])
 
-    def numerators_over(self, den):
+    def _numerators_over(self, den):
         """The integer rows of the entries times den, a multiple of self.den."""
         if den == self.den:
             return self.num
@@ -169,7 +169,7 @@ class RationalMatrix:
         den = lcm(self.den, other.den)
         num = tuple(
             tuple(a + b for a, b in zip(r1, r2))
-            for r1, r2 in zip(self.numerators_over(den), other.numerators_over(den))
+            for r1, r2 in zip(self._numerators_over(den), other._numerators_over(den))
         )
         return _reduced(self.rows, self.cols, num, den)
 
@@ -321,15 +321,6 @@ class RationalMatrix:
             num[p] = R.num[r][self.cols:]
         return _reduced(self.cols, B.cols, tuple(num), R.den)
 
-    def top_rows(self, k):
-        """The matrix of the first k rows."""
-        return _reduced(k, self.cols, self.num[:k], self.den)
-
-    def column_block(self, start, stop):
-        """The matrix of columns start..stop-1."""
-        num = tuple(row[start:stop] for row in self.num)
-        return _reduced(self.rows, stop - start, num, self.den)
-
 
 # The lcm of denominators in lowest terms keeps the stacked numerators in
 # lowest terms, so the stacking functions build with the trusted constructor.
@@ -341,9 +332,8 @@ def hstack(mats):
     if any(m.rows != rows for m in mats):
         raise LinAlgError("hstack row mismatch")
     den = lcm(*(m.den for m in mats))
-    num = tuple(
-        tuple(chain.from_iterable(parts)) for parts in zip(*(m.numerators_over(den) for m in mats))
-    )
+    blocks = [m._numerators_over(den) for m in mats]
+    num = tuple(tuple(chain.from_iterable(parts)) for parts in zip(*blocks))
     return RationalMatrix._of(rows, sum(m.cols for m in mats), num, den)
 
 
@@ -353,7 +343,7 @@ def vstack(mats):
     if any(m.cols != cols for m in mats):
         raise LinAlgError("vstack column mismatch")
     den = lcm(*(m.den for m in mats))
-    num = tuple(chain.from_iterable(m.numerators_over(den) for m in mats))
+    num = tuple(chain.from_iterable(m._numerators_over(den) for m in mats))
     return RationalMatrix._of(sum(m.rows for m in mats), cols, num, den)
 
 
@@ -371,7 +361,7 @@ def block_matrix(blocks, row_dims, col_dims):
     for (i, j), blk in blocks.items():
         if blk.rows != row_dims[i] or blk.cols != col_dims[j]:
             raise LinAlgError(f"block ({i},{j}) has wrong shape")
-        for r, row in enumerate(blk.numerators_over(den)):
+        for r, row in enumerate(blk._numerators_over(den)):
             data[roff[i] + r][coff[j]:coff[j] + blk.cols] = row
     return RationalMatrix._of(total_r, total_c, tuple(map(tuple, data)), den)
 
@@ -390,7 +380,8 @@ def induced_map(m, src, reps, image):
     """The map induced by m from the columns of src to the span of reps
     modulo image: column j holds the reps-coordinates of m.src_j in
     [reps | image]."""
-    return hstack([reps, image]).solve(m.mul(src)).top_rows(reps.cols)
+    X = hstack([reps, image]).solve(m.mul(src))
+    return _reduced(reps.cols, src.cols, X.num[: reps.cols], X.den)
 
 
 def induced_action(action, reps, image):
@@ -398,8 +389,11 @@ def induced_action(action, reps, image):
     from one solve: the right-hand side holds every mats[g].reps side by
     side, and column block g of the solution is the matrix of g."""
     k = reps.cols
-    X = hstack([reps, image]).solve(hstack([m.mul(reps) for m in action.mats])).top_rows(k)
-    mats = tuple(X.column_block(g * k, (g + 1) * k) for g in range(len(action.mats)))
+    X = hstack([reps, image]).solve(hstack([m.mul(reps) for m in action.mats]))
+    mats = tuple(
+        _reduced(k, k, tuple(row[g * k:(g + 1) * k] for row in X.num[:k]), X.den)
+        for g in range(len(action.mats))
+    )
     return GroupAction(action.group, k, mats)
 
 
@@ -475,7 +469,7 @@ def equivariant_hom_dim(A, B):
     for w in gens:
         Bw, Aw = B.mats[w], A.mats[w]
         den = lcm(Bw.den, Aw.den)
-        bw, aw = Bw.numerators_over(den), Aw.numerators_over(den)
+        bw, aw = Bw._numerators_over(den), Aw._numerators_over(den)
         for i in range(B.dim):
             for j in range(A.dim):
                 row = [0] * (A.dim * B.dim)
