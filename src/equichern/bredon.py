@@ -22,14 +22,14 @@ from .eicat import (
     hom_over_category,
     sub_canon_raw,
 )
-from .gcw import homology_with_action, quotient_chain, sub_chain_data
+from .gcw import homology_with_action, quotient_chain, sub_boundaries, sub_chain_data
 from .mackey import T_H_of_mackey, mackey_to_sub_module
 from .qlinalg import (
     RationalMatrix,
     block_matrix,
-    complement_in,
     equivariant_hom_dim,
     induced_map,
+    kernel_mod_image,
 )
 
 
@@ -110,31 +110,17 @@ def bredon_cochain(X, Mcat):
 class CohomologyData:
     dims: tuple
     cocycles: tuple  # per degree: RationalMatrix whose columns represent classes
+    coboundaries: tuple  # per degree: echelon basis of the coboundaries, as columns
     cochain: CochainComplex
 
 
 def bredon_cohomology(X, Mcat):
     """H^p of the Bredon cochain complex, with echelon cocycle representatives."""
     cx = bredon_cochain(X, Mcat)
-    top = len(cx.dims) - 1
-    dims = []
-    reps_all = []
-    for p in range(top + 1):
-        n_p = cx.dims[p]
-        if p <= top - 1:
-            kernel = cx.deltas[p].kernel_basis()
-        else:
-            kernel = RationalMatrix.identity(n_p).columns()
-        if p >= 1:
-            image = RationalMatrix.from_columns(
-                cx.deltas[p - 1].image_basis(), dim=n_p
-            )
-        else:
-            image = RationalMatrix.zero(n_p, 0)
-        reps = RationalMatrix.from_columns(complement_in(image, kernel, n_p), dim=n_p)
-        dims.append(reps.cols)
-        reps_all.append(reps)
-    return CohomologyData(tuple(dims), tuple(reps_all), cx)
+    # d[p]: C^{p-1} -> C^p, with C^{-1} = C^{top+1} = 0
+    d = (RationalMatrix.zero(cx.dims[0], 0), *cx.deltas, RationalMatrix.zero(0, cx.dims[-1]))
+    cocycles, coboundaries = zip(*(kernel_mod_image(d[p + 1], d[p]) for p in range(len(cx.dims))))
+    return CohomologyData(tuple(c.cols for c in cocycles), cocycles, coboundaries, cx)
 
 
 def _cohomology_cached(X, M):
@@ -155,18 +141,19 @@ def _quotient_homology_cached(X, r):
 # the chain complex of X as modules over Sub(G,F), used by the alpha map
 
 def sub_chain_module(X, n):
-    """Degree-n chains of X as a contravariant Sub(G,F)-module."""
+    """Degree-n chains of X as a contravariant Sub(G,F)-module (zero for n
+    outside 0..dim)."""
     key = ("sub_chain_module", n)
     if key in X._cache:
         return X._cache[key]
     G = X.group
     cat = build_sub_category(G)
     labels = sub_chain_data(X)
-    dims = tuple(len(labels[r][n]) for r in range(len(cat.objects)))
+    bases = [labels[r][n] if 0 <= n <= X.dim else () for r in range(len(cat.objects))]
     maps = {}
     for f in cat.all_mors():
-        src_basis = labels[f.src][n]
-        dst_basis = labels[f.dst][n]
+        src_basis = bases[f.src]
+        dst_basis = bases[f.dst]
         index = {b: k for k, b in enumerate(src_basis)}
         data = [[0] * len(dst_basis) for _ in range(len(src_basis))]
         R_src = cat.objects[f.src]
@@ -174,32 +161,28 @@ def sub_chain_module(X, n):
             moved = sub_canon_raw(G, R_src, X.cells[n][i].iso, G.mul(g, f.rep))
             data[index[(i, moved)]][col] = 1
         maps[f] = RationalMatrix(len(src_basis), len(dst_basis), data)
+    dims = tuple(len(b) for b in bases)
     module = CatModule(cat, dims, maps, name=f"C_{n}({X.name})").validate()
     X._cache[key] = module
     return module
 
 
 def sub_boundary_map(X, n):
-    """The boundary C_n -> C_{n-1} as a map of Sub(G,F)-modules."""
-    G = X.group
-    cat = build_sub_category(G)
-    labels = sub_chain_data(X)
-    src_mod = sub_chain_module(X, n)
-    dst_mod = sub_chain_module(X, n - 1)
-    comps = []
-    for r in range(len(cat.objects)):
-        R = cat.objects[r]
-        src_basis = labels[r][n]
-        dst_basis = labels[r][n - 1]
-        index = {b: k for k, b in enumerate(dst_basis)}
-        data = [[0] * len(src_basis) for _ in range(len(dst_basis))]
-        for col, (i, g) in enumerate(src_basis):
-            for t in X.boundaries[n][i]:
-                tgt = X.cells[n - 1][t.target]
-                moved = sub_canon_raw(G, R, tgt.iso, G.mul(G.inv(t.rep), g))
-                data[index[(t.target, moved)]][col] += t.coeff
-        comps.append(RationalMatrix(len(dst_basis), len(src_basis), data))
-    return CatModuleMap(src_mod, dst_mod, tuple(comps)).validate()
+    """The boundary C_n -> C_{n-1} as a map of Sub(G,F)-modules, for
+    n = 0..dim+1."""
+    nobj = len(build_sub_category(X.group).objects)
+    comps = tuple(sub_boundaries(X, r)[n] for r in range(nobj))
+    return CatModuleMap(sub_chain_module(X, n), sub_chain_module(X, n - 1), comps).validate()
+
+
+def _add_random_boundaries(reps, image, rng):
+    """reps + image.C for a random integer C with entries in -2..2, drawn
+    for each column of reps in turn."""
+    C = [[0] * reps.cols for _ in range(image.cols)]
+    for j in range(reps.cols):
+        for k in range(image.cols):
+            C[k][j] = rng.randint(-2, 2)
+    return reps.add(image.mul(RationalMatrix(image.cols, reps.cols, C)))
 
 
 def homology_module(X, p, perturb=None):
@@ -208,35 +191,15 @@ def homology_module(X, p, perturb=None):
     `perturb` optionally re-randomizes the chosen cycle representatives by
     adding boundaries (used to certify representative independence).
     """
-    G = X.group
-    cat = build_sub_category(G)
-    nobj = len(cat.objects)
+    cat = build_sub_category(X.group)
     chain_p = sub_chain_module(X, p)
-    d_p = sub_boundary_map(X, p) if p >= 1 else None
-    d_next = sub_boundary_map(X, p + 1) if p + 1 <= X.dim else None
+    d_out, d_in = sub_boundary_map(X, p), sub_boundary_map(X, p + 1)
     reps_per_obj = []
     images = []
-    for r in range(nobj):
-        n_r = chain_p.dims[r]
-        if d_p is not None:
-            kernel = d_p.components[r].kernel_basis()
-        else:
-            kernel = RationalMatrix.identity(n_r).columns()
-        if d_next is not None:
-            image = RationalMatrix.from_columns(
-                d_next.components[r].image_basis(), dim=n_r
-            )
-        else:
-            image = RationalMatrix.zero(n_r, 0)
-        chosen = [list(v) for v in complement_in(image, kernel, n_r)]
-        if perturb is not None and image.cols:
-            for vec in chosen:
-                for j in range(image.cols):
-                    c = perturb.randint(-2, 2)
-                    if c:
-                        for i in range(n_r):
-                            vec[i] += c * image.data[i][j]
-        reps = RationalMatrix.from_columns([tuple(v) for v in chosen], dim=n_r)
+    for r in range(len(cat.objects)):
+        reps, image = kernel_mod_image(d_out.components[r], d_in.components[r])
+        if perturb is not None:
+            reps = _add_random_boundaries(reps, image, perturb)
         reps_per_obj.append(reps)
         images.append(image)
     dims = tuple(r.cols for r in reps_per_obj)
@@ -266,12 +229,11 @@ def alpha_map(X, M, p, rng=None):
     """
     Mcat = mackey_to_sub_module(M)
     cat = Mcat.cat
-    G = X.group
     cohom = _cohomology_cached(X, M)
     hmod, cycle_reps = homology_module(X, p)
     hom_basis = hom_over_category(hmod, Mcat)
 
-    def pairing_components(cocycle_vec):
+    def pairing_components(cocycle_vec, cycle_reps):
         """The natural transformation H_p => M produced by one cocycle."""
         # cocycle blocks per p-cell
         offsets = []
@@ -306,52 +268,30 @@ def alpha_map(X, M, p, rng=None):
     flat_dim = sum(Mcat.dims[r] * hmod.dims[r] for r in range(len(cat.objects)))
     B = RationalMatrix.from_columns([flatten(h.components) for h in hom_basis], dim=flat_dim)
 
-    def alpha_matrix(cocycles, comps_fn):
+    def alpha_matrix(cocycles, cycle_reps):
         """hom-space coordinates of the transformations of all cocycles, from one solve."""
         flat_cols = []
         for j in range(cocycles.cols):
-            comps = comps_fn(cocycles.column(j))
+            comps = pairing_components(cocycles.column(j), cycle_reps)
             CatModuleMap(hmod, Mcat, tuple(comps)).validate()
             flat_cols.append(flatten(comps))
         return B.solve(RationalMatrix.from_columns(flat_cols, dim=flat_dim))
 
     cocycles = cohom.cocycles[p]
-    matrix = alpha_matrix(cocycles, pairing_components)
+    matrix = alpha_matrix(cocycles, cycle_reps)
     bijective = (
         matrix.rows == matrix.cols == matrix.rank()
     )
     stable = True
     if rng is not None:
-        # perturb cocycle representatives by coboundaries
-        if p >= 1:
-            img = RationalMatrix.from_columns(
-                cohom.cochain.deltas[p - 1].image_basis(), dim=cohom.cochain.dims[p]
-            )
-            cols = []
-            for j in range(cocycles.cols):
-                v = list(cocycles.column(j))
-                for k in range(img.cols):
-                    c = rng.randint(-2, 2)
-                    if c:
-                        for i in range(len(v)):
-                            v[i] += c * img.data[i][k]
-                cols.append(tuple(v))
-            perturbed = RationalMatrix.from_columns(
-                cols, dim=cohom.cochain.dims[p]
-            )
-            m2 = alpha_matrix(perturbed, pairing_components)
-            stable = stable and (m2 == matrix)
+        # perturb cocycle representatives by coboundaries; unchanged ones
+        # (no coboundaries, or all coefficients 0) leave nothing to check
+        perturbed = _add_random_boundaries(cocycles, cohom.coboundaries[p], rng)
+        stable = perturbed == cocycles or alpha_matrix(perturbed, cycle_reps) == matrix
         # perturb cycle representatives by boundaries; the hom-space basis and
         # homology coordinates are unchanged, so the matrix must agree
         hmod2, cycle_reps2 = homology_module(X, p, perturb=rng)
-        if hmod2.dims != hmod.dims:
-            stable = False
-        else:
-            cycle_backup = cycle_reps
-            cycle_reps = cycle_reps2
-            m3 = alpha_matrix(cocycles, pairing_components)
-            cycle_reps = cycle_backup
-            stable = stable and (m3 == matrix)
+        stable = stable and hmod2.dims == hmod.dims and alpha_matrix(cocycles, cycle_reps2) == matrix
     return AlphaResult(
         p=p,
         matrix=matrix,

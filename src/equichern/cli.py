@@ -77,14 +77,18 @@ def _load_space(spec, G):
     return parse_gcw(Path(spec).read_text(encoding="utf-8"), G)
 
 
-def _load_coefficients(spec, G, q_range, even_only):
+def _load_functor(spec, G):
     if spec.startswith("file:"):
-        M = parse_mackey(Path(spec[len("file:"):]).read_text(encoding="utf-8"), G)
+        return parse_mackey(Path(spec[len("file:"):]).read_text(encoding="utf-8"), G)
+    return builtin_mackey(spec, G)
+
+
+def _load_coefficients(spec, G, q_range, even_only):
+    M = _load_functor(spec, G)
+    if spec.startswith("file:"):
         report = validate_mackey(M)
         if not report.passed():
             raise MackeyError("\n".join(report.lines()))
-    else:
-        M = builtin_mackey(spec, G)
     lo, hi = q_range
     by_q = {
         q: M
@@ -113,7 +117,7 @@ def _emit(args, text_lines, json_obj):
 
 def cmd_info(args):
     G = _load_group(args.group, args.cap)
-    ct = subgroup_conjugacy_classes(G, cap=args.cap)
+    ct = subgroup_conjugacy_classes(G)
     lines = [f"group {G.name} order {G.order}"]
     classes_json = []
     for i, cls in enumerate(ct.classes):
@@ -154,10 +158,7 @@ def cmd_info(args):
 
 def cmd_mackey(args):
     G = _load_group(args.group, args.cap)
-    if args.coeff.startswith("file:"):
-        M = parse_mackey(Path(args.coeff[len("file:"):]).read_text(encoding="utf-8"), G)
-    else:
-        M = builtin_mackey(args.coeff, G)
+    M = _load_functor(args.coeff, G)
     report = validate_mackey(M)
     out = {
         "functor": M.name,
@@ -314,7 +315,7 @@ def build_parser():
 
     def common(p, space=False, coeff=False):
         p.add_argument("--group", required=True, help="bundled name or group file path")
-        p.add_argument("--cap", type=int, default=64, help="subgroup-order cap")
+        p.add_argument("--cap", type=int, default=64, help="group-order cap")
         p.add_argument("--format", choices=("text", "json"), default="text")
         if space:
             p.add_argument(

@@ -31,6 +31,7 @@ from .qlinalg import (
     block_matrix,
     hstack,
     induced_action,
+    joint_kernel,
     vstack,
 )
 
@@ -510,15 +511,8 @@ def splitting_T(M, c):
         for f in cat.mors[(d, c)]
         if not cat.is_iso(f)
     ]
-    n = M.dims[c]
-    if stack:
-        big = vstack(stack)
-    else:
-        big = RationalMatrix.zero(0, n)
-    kernel = big.kernel_basis()
-    basis = RationalMatrix.from_columns(kernel, dim=n)
-    empty = RationalMatrix.zero(n, 0)
-    return TSplitting(c, induced_action(M.action_at(c), basis, empty), basis)
+    basis, action = joint_kernel(stack, M.action_at(c))
+    return TSplitting(c, action, basis)
 
 
 def splitting_S(M, c):

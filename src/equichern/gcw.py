@@ -23,10 +23,10 @@ from .groups import (
     Subgroup,
     full_subgroup,
     parse_int,
-    parse_subgroup_literal,
+    parse_subgroup_on_line,
     subgroup_conjugacy_classes,
 )
-from .qlinalg import GroupAction, RationalMatrix, complement_in, induced_action
+from .qlinalg import GroupAction, RationalMatrix, induced_action, kernel_mod_image
 
 
 class GcwError(ValueError):
@@ -102,7 +102,7 @@ class EvaluatedChainComplex:
     """Chain complex over Q with an optional group action commuting with d."""
 
     dims: tuple
-    boundaries: tuple  # index n >= 1: RationalMatrix C_n -> C_{n-1}; index 0 unused
+    boundaries: tuple  # index n in 0..top+1: RationalMatrix C_n -> C_{n-1}, C_{-1} = C_{top+1} = 0
     labels: tuple  # per degree: tuple of basis labels
     actions: tuple | None  # per degree: GroupAction of one fixed group
 
@@ -144,7 +144,7 @@ def fixed_point_chain(X, H):
         basis.sort()
         labels.append(tuple(basis))
         index.append({b: k for k, b in enumerate(basis)})
-    boundaries = [RationalMatrix.zero(0, 0)]
+    boundaries = [RationalMatrix.zero(0, len(labels[0]))]
     for n in range(1, X.dim + 1):
         rows = len(labels[n - 1])
         cols = len(labels[n])
@@ -155,6 +155,7 @@ def fixed_point_chain(X, H):
                 rep = or_canon_raw(G, tgt.iso, G.mul(a, t.rep))
                 data[index[n - 1][(t.target, rep)]][col] += t.coeff
         boundaries.append(RationalMatrix(rows, cols, data))
+    boundaries.append(RationalMatrix.zero(len(labels[-1]), 0))
     return EvaluatedChainComplex(
         dims=tuple(len(l) for l in labels),
         boundaries=tuple(boundaries),
@@ -189,6 +190,27 @@ def sub_chain_data(X):
     return labels
 
 
+def sub_boundaries(X, r):
+    """The boundaries C_n -> C_{n-1} of the Sub(G,F)-chain complex at object
+    r, for n = 0..dim+1, in the bases of `sub_chain_data`; the first and the
+    last are the maps to and from the zero module."""
+    G = X.group
+    R = build_sub_category(G).objects[r]
+    labels = sub_chain_data(X)[r]
+    out = [RationalMatrix.zero(0, len(labels[0]))]
+    for n in range(1, X.dim + 1):
+        index = {b: k for k, b in enumerate(labels[n - 1])}
+        data = [[0] * len(labels[n]) for _ in labels[n - 1]]
+        for col, (i, g) in enumerate(labels[n]):
+            for t in X.boundaries[n][i]:
+                tgt = X.cells[n - 1][t.target]
+                moved = sub_canon_raw(G, R, tgt.iso, G.mul(G.inv(t.rep), g))
+                data[index[(t.target, moved)]][col] += t.coeff
+        out.append(RationalMatrix(len(labels[n - 1]), len(labels[n]), data))
+    out.append(RationalMatrix.zero(len(labels[-1]), 0))
+    return tuple(out)
+
+
 def quotient_chain(X, H):
     """C_*(C_G(H)\\X^H) with its Weyl-group action, via the Sub(G,F) complex.
 
@@ -203,16 +225,6 @@ def quotient_chain(X, H):
     R = ct.rep(r)
     labels = sub_chain_data(X)[r]
     index = [{b: k for k, b in enumerate(lab)} for lab in labels]
-    boundaries = [RationalMatrix.zero(0, 0)]
-    for n in range(1, X.dim + 1):
-        rows, cols = len(labels[n - 1]), len(labels[n])
-        data = [[0] * cols for _ in range(rows)]
-        for col, (i, g) in enumerate(labels[n]):
-            for t in X.boundaries[n][i]:
-                tgt = X.cells[n - 1][t.target]
-                rep = sub_canon_raw(G, R, tgt.iso, G.mul(G.inv(t.rep), g))
-                data[index[n - 1][(t.target, rep)]][col] += t.coeff
-        boundaries.append(RationalMatrix(rows, cols, data))
     weyl = ct.classes[r].weyl
     W = weyl.group
     actions = []
@@ -230,7 +242,7 @@ def quotient_chain(X, H):
         actions.append(GroupAction(W, len(labels[n]), tuple(mats)))
     return EvaluatedChainComplex(
         dims=tuple(len(l) for l in labels),
-        boundaries=tuple(boundaries),
+        boundaries=sub_boundaries(X, r),
         labels=tuple(labels),
         actions=tuple(actions),
     ).validate()
@@ -252,22 +264,10 @@ class GradedHomology:
 
 def homology_with_action(C):
     """H_p = ker d_p / im d_{p+1}, with the induced action on chosen cycles."""
-    top = len(C.dims) - 1
     reps_all = []
     actions = []
-    for p in range(top + 1):
-        n_p = C.dims[p]
-        if p >= 1:
-            kernel = C.boundaries[p].kernel_basis()
-        else:
-            kernel = RationalMatrix.identity(n_p).columns()
-        if p + 1 <= top:
-            image = RationalMatrix.from_columns(
-                C.boundaries[p + 1].image_basis(), dim=n_p
-            )
-        else:
-            image = RationalMatrix.zero(n_p, 0)
-        reps = RationalMatrix.from_columns(complement_in(image, kernel, n_p), dim=n_p)
+    for p in range(len(C.dims)):
+        reps, image = kernel_mod_image(C.boundaries[p], C.boundaries[p + 1])
         reps_all.append(reps)
         if C.actions is not None:
             actions.append(induced_action(C.actions[p], reps, image))
@@ -345,7 +345,7 @@ def parse_gcw(text, G):
                 ident = ident.strip()
                 if not ident or not iso_txt:
                     raise GcwError(f"line {lineno}: bad cell declaration {chunk!r}")
-                iso = parse_subgroup_literal(iso_txt.strip(), G)
+                iso = parse_subgroup_on_line(iso_txt, G, GcwError, lineno)
                 found.append(Cell(ident, iso))
             cells[degree] = (lineno, tuple(found))
         elif head == "boundary":

@@ -27,9 +27,6 @@ class GroupParseError(ValueError):
         super().__init__(message)
 
 
-DEFAULT_SUBGROUP_CAP = 64
-
-
 class FiniteGroup:
     """A finite group on elements 0..order-1 with its multiplication table."""
 
@@ -216,7 +213,7 @@ def full_subgroup(G):
     return Subgroup(tuple(range(G.order)), G)
 
 
-def enumerate_subgroups(G, cap=DEFAULT_SUBGROUP_CAP):
+def enumerate_subgroups(G):
     """All subgroups of G, sorted by (order, elements).
 
     Breadth first from the trivial subgroup: each subgroup H found carries
@@ -224,9 +221,7 @@ def enumerate_subgroups(G, cap=DEFAULT_SUBGROUP_CAP):
     generators and g alone. Every g' in the right coset Hg spans the same
     subgroup, so one g per coset of H is tried.
     """
-    if G.order > cap:
-        raise GroupError(f"group order {G.order} exceeds the subgroup cap {cap}")
-    key = ("subgroups", cap)
+    key = ("subgroups",)
     if key in G._cache:
         return G._cache[key]
     seen = {(0,): trivial_subgroup(G)}
@@ -409,9 +404,9 @@ class SubgroupClass:
 class SubgroupClassTable:
     """Conjugacy classes of subgroups with normalizer/centralizer/Weyl data."""
 
-    def __init__(self, G, cap=DEFAULT_SUBGROUP_CAP):
+    def __init__(self, G):
         self.group = G
-        subs = enumerate_subgroups(G, cap=cap)
+        subs = enumerate_subgroups(G)
         by_elems = {s.elems: s for s in subs}
         assigned = set()
         classes = []
@@ -467,10 +462,10 @@ class SubgroupClassTable:
         return enumerate_subgroups(self.group)
 
 
-def subgroup_conjugacy_classes(G, cap=DEFAULT_SUBGROUP_CAP):
-    key = ("classtable", cap)
+def subgroup_conjugacy_classes(G):
+    key = ("classtable",)
     if key not in G._cache:
-        G._cache[key] = SubgroupClassTable(G, cap=cap)
+        G._cache[key] = SubgroupClassTable(G)
     return G._cache[key]
 
 
@@ -566,6 +561,15 @@ def parse_int(token, what, error, lineno):
         return int(token)
     except ValueError:
         raise error(f"line {lineno}: bad {what} {token!r}") from None
+
+
+def parse_subgroup_on_line(text, G, error, lineno):
+    """parse_subgroup_literal(text, G); a bad literal raises `error` naming
+    the line."""
+    try:
+        return parse_subgroup_literal(text, G)
+    except (GroupParseError, GroupError) as exc:
+        raise error(f"line {lineno}: {exc}") from None
 
 
 def parse_subgroup_literal(text, G):

@@ -28,11 +28,11 @@ from .groups import (
     enumerate_subgroups,
     normalizer,
     parse_int,
-    parse_subgroup_literal,
+    parse_subgroup_on_line,
     subgroup,
     subgroup_conjugacy_classes,
 )
-from .qlinalg import GroupAction, RationalMatrix, induced_action, vstack
+from .qlinalg import GroupAction, RationalMatrix, joint_kernel
 
 
 class MackeyError(ValueError):
@@ -376,12 +376,8 @@ def T_H_of_mackey(M, H):
         for L in enumerate_subgroups(G)
         if set(L.elems) < rset
     ]
-    n = M.dims[j]
-    big = vstack(stack) if stack else RationalMatrix.zero(0, n)
-    kernel = big.kernel_basis()
-    basis = RationalMatrix.from_columns(kernel, dim=n)
-    empty = RationalMatrix.zero(n, 0)
-    part = TPart(j, induced_action(M.weyl_action(j), basis, empty), basis)
+    basis, action = joint_kernel(stack, M.weyl_action(j))
+    part = TPart(j, action, basis)
     M._cache[key] = part
     return part
 
@@ -818,7 +814,7 @@ def parse_mackey(text, G):
                 )
             continue
         if head == "object":
-            sub = parse_subgroup_literal(parts[1], G)
+            sub = parse_subgroup_on_line(parts[1], G, MackeyError, lineno)
             if parts[2] != "dim":
                 raise MackeyError(f"line {lineno}: expected `dim`")
             j = ct.class_of(sub)
@@ -834,14 +830,14 @@ def parse_mackey(text, G):
             n = parse_int(parts[1], "group element", MackeyError, lineno)
             if not 0 <= n < G.order:
                 raise MackeyError(f"line {lineno}: group element {n} out of range")
-            sub = parse_subgroup_literal(parts[2], G)
+            sub = parse_subgroup_on_line(parts[2], G, MackeyError, lineno)
             j = ct.class_of(sub)
             d = declared_dim(j, head, lineno)
             pending = ("conj", (j, n), d, d, [], lineno)
             continue
         if head in ("res", "ind"):
-            L = parse_subgroup_literal(parts[1], G)
-            R = parse_subgroup_literal(parts[2], G)
+            L = parse_subgroup_on_line(parts[1], G, MackeyError, lineno)
+            R = parse_subgroup_on_line(parts[2], G, MackeyError, lineno)
             j = ct.class_of(R)
             li = ct.class_of(L)
             if ct.rep(j).elems != R.elems:

@@ -19,10 +19,12 @@ Gauss-Jordan elimination over `Fraction`.
 `solve` takes a matrix of right-hand sides and reduces `[A | B]` once, so
 each exact linear system is solved once for all its columns.  On top of it,
 each of the ideas behind homology with an action is written once:
-`complement_in` picks representatives of a kernel modulo an image (one rref),
-`induced_map` writes down the map a matrix induces on such representatives,
-and `induced_action` does so for a whole group action with one solve (an
-empty image gives the action on an invariant subspace).  Fixed subspaces come
+`kernel_mod_image(d_out, d_in)` picks representatives of ker d_out modulo
+im d_in (a degree with no outgoing or incoming map passes its 0 x n or n x 0
+map), `induced_map` writes down the map a matrix induces on such
+representatives, and `induced_action` does so for a whole group action with
+one solve.  `joint_kernel` is the case of an invariant subspace: the common
+kernel of several maps with the action induced on it.  Fixed subspaces come
 from one checked averaging projector, `averaging_projector`.
 """
 
@@ -277,6 +279,8 @@ class RationalMatrix:
 
     def kernel_basis(self):
         """Echelon-canonical basis of the null space, as tuples."""
+        if not self.rows:
+            return self.identity(self.cols).data
         R, pivots = self.rref()
         pivot_set = set(pivots)
         free = [c for c in range(self.cols) if c not in pivot_set]
@@ -292,6 +296,8 @@ class RationalMatrix:
 
     def image_basis(self):
         """Echelon-canonical basis of the column space."""
+        if not self.cols:
+            return ()
         Rt, pivots = self.transpose().rref()
         return tuple(Rt.data[i] for i in range(len(pivots)))
 
@@ -366,14 +372,21 @@ def block_matrix(blocks, row_dims, col_dims):
     return RationalMatrix._of(total_r, total_c, tuple(map(tuple, data)), den)
 
 
-def complement_in(image, vectors, dim):
-    """The vectors, in order, that are not in the span of the image columns
-    and the vectors before them: the pivot columns of one rref of
-    [image | vectors].  With `vectors` a kernel basis and `image` inside the
-    kernel, they represent a basis of kernel modulo image."""
-    vectors = tuple(vectors)
-    _, pivots = hstack([image, RationalMatrix.from_columns(vectors, dim=dim)]).rref()
-    return tuple(vectors[j - image.cols] for j in pivots if j >= image.cols)
+def kernel_mod_image(d_out, d_in):
+    """(reps, image) for ker d_out modulo im d_in, where d_out.d_in = 0.
+
+    `image` holds the echelon basis of im d_in as columns.  `reps` holds the
+    kernel basis vectors that are not in the span of the image and the kernel
+    vectors before them: the pivot columns of one rref of [image | kernel].
+    A degree with no outgoing map passes its 0 x n map, and one with no
+    incoming map its n x 0 map."""
+    n = d_out.cols
+    reps = d_out.kernel_basis()
+    image = RationalMatrix.from_columns(d_in.image_basis(), dim=n)
+    if image.cols:  # with no image every kernel vector is a pivot
+        _, pivots = hstack([image, RationalMatrix.from_columns(reps, dim=n)]).rref()
+        reps = [reps[j - image.cols] for j in pivots if j >= image.cols]
+    return RationalMatrix.from_columns(reps, dim=n), image
 
 
 def induced_map(m, src, reps, image):
@@ -395,6 +408,16 @@ def induced_action(action, reps, image):
         for g in range(len(action.mats))
     )
     return GroupAction(action.group, k, mats)
+
+
+def joint_kernel(maps, action):
+    """(basis, induced action): the common kernel of `maps`, matrices on the
+    space `action` acts on, as basis columns, with the action induced on it."""
+    n = action.dim
+    basis = RationalMatrix.from_columns(
+        vstack([RationalMatrix.zero(0, n), *maps]).kernel_basis(), dim=n
+    )
+    return basis, induced_action(action, basis, RationalMatrix.zero(n, 0))
 
 
 @dataclass(frozen=True)

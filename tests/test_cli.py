@@ -60,6 +60,31 @@ def test_info_cap_exceeded(capsys):
     assert "cap" in err
 
 
+def _z67_file(tmp_path):
+    """Z/67 (order 67, two subgroups) as a group file."""
+    from equichern.groups import FiniteGroup, format_group
+
+    path = tmp_path / "z67.grp"
+    table = [[(a + b) % 67 for b in range(67)] for a in range(67)]
+    path.write_text(format_group(FiniteGroup(table, name="z67")))
+    return str(path)
+
+
+def test_cap_is_one_guard_in_the_cli(tmp_path, capsys):
+    group = _z67_file(tmp_path)
+    point = ["--space", "point", "--coeff", "burnside"]
+    code, out, err = run(capsys, "chern", "--group", group, *point)
+    assert (code, out) == (2, "")
+    assert "exceeds --cap 64" in err
+    # a raised cap reaches the library, which has no cap of its own
+    code, out, err = run(capsys, "chern", "--group", group, "--cap", "128", *point)
+    assert (code, err) == (0, "")
+    assert "n=0 bredon=2 chern-target=2 ok" in out
+    code, out, err = run(capsys, "mackey", "--group", group, "--cap", "128", "--coeff", "burnside")
+    assert (code, err) == (0, "")
+    assert "pass" in out
+
+
 def test_mackey_validate(capsys):
     code, out, _ = run(capsys, "mackey", "--group", "s3", "--coeff", "repring")
     assert code == 0
@@ -342,6 +367,8 @@ def _with_line(text, lineno, replacement):
         (5, "cells 2: e iso={0}; f iso={0}", "line 5: cell degree 2 outside 0..1"),
         (6, "boundary e = x*(v, 1) - (v, 0)", "line 6: bad boundary coefficient 'x'"),
         (7, "boundary f = (v, g) - (v, 0)", "line 7: bad morphism element 'g'"),
+        (4, "cells 0: v iso={0,7}", "line 4: subgroup element 7 out of range for s3"),
+        (4, "cells 0: v iso={0,3}", "line 4: subgroup not closed under inverse at element 3"),
         (2, None, "missing `group` header"),
     ],
 )
@@ -378,6 +405,10 @@ def test_wedge_gcw_is_good(tmp_path, capsys):
         (3, "res {0} {0,1}", "line 3: res before object declaration"),
         (3, "ind {0} {0,1}", "line 3: ind before object declaration"),
         (2, None, "missing mackey/group header"),
+        (3, "object {0,7} dim 1", "line 3: subgroup element 7 out of range for s3"),
+        (7, "res {0,7} {0,1}", "line 7: subgroup element 7 out of range for s3"),
+        (9, "ind {0} {0,3}", "line 9: subgroup not closed under inverse at element 3"),
+        (11, "conj 1 {0,9}", "line 11: subgroup element 9 out of range for s3"),
     ],
 )
 def test_bad_mackey_file_exits_2_naming_the_line(tmp_path, capsys, lineno, replacement, message):

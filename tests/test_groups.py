@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from equichern.groups import (
+    FiniteGroup,
     GroupError,
     GroupParseError,
     as_group,
@@ -103,10 +104,11 @@ def test_subgroup_enumeration_against_oracle(groups):
             assert len(subs) == expected_counts[name]
 
 
-def test_subgroup_cap():
-    G = parse_group("group z2\norder 2\n0 1\n1 0\n")
-    with pytest.raises(GroupError, match="cap"):
-        enumerate_subgroups(G, cap=1)
+def test_enumerate_subgroups_has_no_order_cap():
+    # the group-order guard lives only in the CLI (`--cap`)
+    G = FiniteGroup([[(a + b) % 67 for b in range(67)] for a in range(67)], name="z67")
+    assert [s.elems for s in enumerate_subgroups(G)] == [(0,), tuple(range(67))]
+    assert len(subgroup_conjugacy_classes(G)) == 2
 
 
 def test_subgroup_validation(s3):

@@ -20,12 +20,13 @@ from equichern.qlinalg import (
     RationalMatrix,
     averaging_projector,
     block_matrix,
-    complement_in,
     equivariant_hom_dim,
     hstack,
     induced_action,
     induced_map,
     invariants,
+    joint_kernel,
+    kernel_mod_image,
     vstack,
 )
 
@@ -248,34 +249,76 @@ def test_is_identity():
     assert not M([[1, 0, 0], [0, 1, 0]]).is_identity()
 
 
-def test_complement_in_matches_greedy_loop():
+def _random_chain_pair(rng, dim):
+    """(d_out, d_in) with d_out.d_in = 0 on Q^dim.  The columns of d_in and
+    the rows of d_out may repeat, be zero or lie in the span of earlier ones,
+    and some pairs are exact (d_out cuts out exactly the image of d_in)."""
+    cols = []
+    for _ in range(rng.randint(0, 5)):
+        kind = rng.choice(("random", "in_span", "repeat", "zero"))
+        if kind == "in_span" and cols:
+            coeffs = [rng.randint(-2, 2) for _ in cols]
+            cols.append(tuple(sum(c * v[i] for c, v in zip(coeffs, cols)) for i in range(dim)))
+        elif kind == "repeat" and cols:
+            cols.append(rng.choice(cols))
+        elif kind == "zero":
+            cols.append((Fraction(0),) * dim)
+        else:
+            cols.append(_random_matrix(rng, dim, 1, rng.choice((0.3, 1))).column(0))
+    d_in = RationalMatrix.from_columns(cols, dim=dim)
+    # rows y with y.d_in = 0
+    left = d_in.transpose().kernel_basis()
+    rows = list(left) if rng.random() < 0.2 else []
+    for _ in range(rng.randint(0, 4)):
+        kind = rng.choice(("random", "repeat", "zero"))
+        if kind == "repeat" and rows:
+            rows.append(rng.choice(rows))
+        elif kind == "zero" or not left:
+            rows.append((Fraction(0),) * dim)
+        else:
+            coeffs = [rng.randint(-2, 2) for _ in left]
+            rows.append(tuple(sum(c * v[i] for c, v in zip(coeffs, left)) for i in range(dim)))
+    return RationalMatrix(len(rows), dim, rows), d_in
+
+
+def test_kernel_mod_image_matches_greedy_loop():
     rng = random.Random(23)
+    exact = 0
     for dim in (0, 0, 1, 2, 3, 4, 5, 6):
-        for _ in range(15):
-            span = _random_matrix(rng, dim, rng.randint(0, 4), rng.choice((0.3, 1)))
-            if rng.random() < 0.2:
-                span = RationalMatrix.zero(dim, 0)
-            image = RationalMatrix.from_columns(span.image_basis(), dim=dim)
-            vectors = []
-            for _ in range(rng.randint(0, 6)):
-                kind = rng.choice(("random", "in_span", "repeat", "zero"))
-                if kind == "in_span" and image.cols:
-                    coeffs = [rng.randint(-2, 2) for _ in range(image.cols)]
-                    vectors.append(image.apply(coeffs))
-                elif kind == "repeat" and vectors:
-                    vectors.append(rng.choice(vectors))
-                elif kind == "zero":
-                    vectors.append((Fraction(0),) * dim)
-                else:
-                    vectors.append(_random_matrix(rng, dim, 1, 0.5).column(0))
-            expected = oracles.greedy_complement(image, vectors, dim)
-            assert complement_in(image, vectors, dim) == expected
-    assert complement_in(RationalMatrix.zero(3, 0), [], 3) == ()
-    assert complement_in(RationalMatrix.zero(0, 0), [(), ()], 0) == ()
-    diag = M([[1], [1]])
-    e1, e2 = (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))
-    assert complement_in(diag, [e1, e2], 2) == (e1,)
-    assert complement_in(diag, [(1, 1), e2, e2, e1], 2) == (e2,)
+        for _ in range(40):
+            d_out, d_in = _random_chain_pair(rng, dim)
+            assert d_out.mul(d_in).is_zero()
+            reps, image = kernel_mod_image(d_out, d_in)
+            assert image == RationalMatrix.from_columns(d_in.image_basis(), dim=dim)
+            assert image.cols == oracles.brute_rank(d_in.data)
+            expected = oracles.greedy_complement(image, d_out.kernel_basis(), dim)
+            assert reps == RationalMatrix.from_columns(expected, dim=dim)
+            rank_out = oracles.brute_rank(d_out.data)
+            assert reps.cols == dim - rank_out - image.cols
+            exact += dim > 0 and reps.cols == 0 and image.cols > 0
+    assert exact > 5
+    # a degree with neither map: every vector is a class
+    reps, image = kernel_mod_image(RationalMatrix.zero(0, 3), RationalMatrix.zero(3, 0))
+    assert reps == RationalMatrix.identity(3) and image == RationalMatrix.zero(3, 0)
+    reps, image = kernel_mod_image(RationalMatrix.zero(0, 0), RationalMatrix.zero(0, 0))
+    assert (reps.rows, reps.cols, image.rows, image.cols) == (0, 0, 0, 0)
+    # kernel vectors in the span of the image are skipped, in order
+    diag, e1, e2 = M([[1], [1]]), M([[1], [0]]), M([[0], [1]])
+    assert kernel_mod_image(RationalMatrix.zero(0, 2), diag) == (e1, diag)
+    assert kernel_mod_image(RationalMatrix.zero(0, 2), e1) == (e2, e1)
+    assert kernel_mod_image(M([[1, -1]]), diag) == (RationalMatrix.zero(2, 0), diag)
+    # repeated and zero columns of d_in, and zero rows of d_out, change nothing
+    assert kernel_mod_image(M([[0, 0], [0, 0]]), M([[1, 1, 0, 2], [1, 1, 0, 2]])) == (e1, diag)
+
+
+def test_joint_kernel(z2):
+    action = _z2_swap(z2)
+    basis, sub = joint_kernel([], action)
+    assert basis == RationalMatrix.identity(2) and sub.mats == action.mats
+    # the swap acts by -1 on the common kernel (-1, 1) of (1 1) and (2 2)
+    basis, sub = joint_kernel([M([[1, 1]]), M([[2, 2]])], action)
+    assert basis == M([[-1], [1]])
+    assert sub.mats == (M([[1]]), M([[-1]]))
 
 
 def test_induced_map_on_quotient_and_subspace():
