@@ -19,7 +19,7 @@ from .eicat import (
     CatModuleMap,
     build_sub_category,
     extended_sub_mor,
-    hom_over_category,
+    hom_system,
     sub_canon_raw,
 )
 from .gcw import homology_with_action, quotient_chain, sub_boundaries, sub_chain_data
@@ -231,7 +231,9 @@ def alpha_map(X, M, p, rng=None):
     cat = Mcat.cat
     cohom = _cohomology_cached(X, M)
     hmod, cycle_reps = homology_module(X, p)
-    hom_basis = hom_over_category(hmod, Mcat)
+    # hom-space basis: the kernel of the system, one column per transformation
+    system = hom_system(hmod, Mcat)
+    B = RationalMatrix.from_columns(system.kernel_basis(), dim=system.cols)
 
     def pairing_components(cocycle_vec, cycle_reps):
         """The natural transformation H_p => M produced by one cocycle."""
@@ -262,20 +264,15 @@ def alpha_map(X, M, p, rng=None):
             comps.append(RationalMatrix.from_columns(cols, dim=Mcat.dims[r]))
         return comps
 
-    def flatten(comps):
-        return tuple(x for c in comps for row in c.data for x in row)
-
-    flat_dim = sum(Mcat.dims[r] * hmod.dims[r] for r in range(len(cat.objects)))
-    B = RationalMatrix.from_columns([flatten(h.components) for h in hom_basis], dim=flat_dim)
-
     def alpha_matrix(cocycles, cycle_reps):
-        """hom-space coordinates of the transformations of all cocycles, from one solve."""
+        """hom-space coordinates of the transformations of all cocycles, from
+        one solve; each is flattened in the layout of `hom_system`."""
         flat_cols = []
         for j in range(cocycles.cols):
             comps = pairing_components(cocycles.column(j), cycle_reps)
             CatModuleMap(hmod, Mcat, tuple(comps)).validate()
-            flat_cols.append(flatten(comps))
-        return B.solve(RationalMatrix.from_columns(flat_cols, dim=flat_dim))
+            flat_cols.append(tuple(x for c in comps for row in c.data for x in row))
+        return B.solve(RationalMatrix.from_columns(flat_cols, dim=system.cols))
 
     cocycles = cohom.cocycles[p]
     matrix = alpha_matrix(cocycles, cycle_reps)
@@ -296,7 +293,7 @@ def alpha_map(X, M, p, rng=None):
         p=p,
         matrix=matrix,
         cohomology_dim=cocycles.cols,
-        hom_dim=len(hom_basis),
+        hom_dim=B.cols,
         bijective=bijective,
         stable=stable,
     )
@@ -484,7 +481,7 @@ class CollapseReport:
             status = "ok" if r.ok else "MISMATCH"
             out.append(f"n={r.n} bredon={r.left} chern-target={r.right} {status}")
         if not self.passed():
-            out.append("-- left breakdown --")
+            out.append("-- left breakdown (Bredon side per (n, p, q) only, not per class) --")
             out.extend(self.left.lines())
             out.append("-- right breakdown --")
             out.extend(self.right.lines())

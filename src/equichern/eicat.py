@@ -31,7 +31,9 @@ from .qlinalg import (
     block_matrix,
     hstack,
     induced_action,
+    intertwining_system,
     joint_kernel,
+    kernel_mod_image,
     vstack,
 )
 
@@ -445,41 +447,25 @@ def direct_sum(modules):
     return CatModule(cat, dims, maps, name="(+)".join(m.name for m in modules))
 
 
-def hom_over_category(M, N):
-    """A basis of the natural transformations M => N."""
+def hom_system(M, N):
+    """The system whose kernel is hom(M, N): t_x . M(f) = N(f) . t_y for
+    every morphism f: x -> y, unknowns laid out by `intertwining_system`."""
     if M.cat is not N.cat:
         raise CategoryError("hom over different categories")
-    cat = M.cat
-    nobj = len(cat.objects)
-    offsets = []
-    total = 0
-    for x in range(nobj):
-        offsets.append(total)
-        total += N.dims[x] * M.dims[x]
-    rows = []
-    for f in cat.all_mors():
-        x, y = f.src, f.dst
-        Mf, Nf = M.maps[f], N.maps[f]
-        # constraint: t_x . M(f) = N(f) . t_y   (both N(x) x M(y))
-        for i in range(N.dims[x]):
-            for j in range(M.dims[y]):
-                row = [Fraction(0)] * total
-                for l in range(M.dims[x]):
-                    row[offsets[x] + i * M.dims[x] + l] += Mf.data[l][j]
-                for k in range(N.dims[y]):
-                    row[offsets[y] + k * M.dims[y] + j] -= Nf.data[i][k]
-                rows.append(row)
-    system = RationalMatrix(len(rows), total, rows) if rows else RationalMatrix.zero(0, total)
-    basis = system.kernel_basis()
+    constraints = [(f.src, f.dst, M.maps[f], N.maps[f]) for f in M.cat.all_mors()]
+    return intertwining_system(constraints, M.dims, N.dims)
+
+
+def hom_over_category(M, N):
+    """A basis of the natural transformations M => N."""
     out = []
-    for vec in basis:
+    for vec in hom_system(M, N).kernel_basis():
         comps = []
-        for x in range(nobj):
-            mat = [
-                [vec[offsets[x] + i * M.dims[x] + l] for l in range(M.dims[x])]
-                for i in range(N.dims[x])
-            ]
-            comps.append(RationalMatrix(N.dims[x], M.dims[x], mat))
+        off = 0
+        for m, n in zip(M.dims, N.dims):
+            rows = [vec[off + i * m: off + (i + 1) * m] for i in range(n)]
+            comps.append(RationalMatrix(n, m, rows))
+            off += m * n
         out.append(CatModuleMap(M, N, tuple(comps)))
     return out
 
@@ -525,8 +511,7 @@ def splitting_S(M, c):
     ]
     n = M.dims[c]
     combined = hstack(pieces) if pieces else RationalMatrix.zero(n, 0)
-    image = RationalMatrix.from_columns(combined.image_basis(), dim=n)
-    reps = RationalMatrix.from_columns(combined.cokernel_basis(), dim=n)
+    reps, image = kernel_mod_image(RationalMatrix.zero(0, n), combined)
     return SSplitting(c, induced_action(M.action_at(c), reps, image), reps, image)
 
 

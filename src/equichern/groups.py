@@ -251,6 +251,15 @@ def subgroup_count_oracle(G):
 
     Its closure multiplies all pairs of elements found so far and shares no
     code with `enumerate_subgroups`.
+
+    The stopping rule is exact.  After step k, `found` holds every subgroup
+    generated by at most k elements.  Suppose nothing new appears at k, so
+    every subgroup generated by k elements is generated by k - 1.  Take
+    L = <g_1, ..., g_(k+1)>: then <g_1, ..., g_k> = <h_1, ..., h_(k-1)>, so
+    L = <h_1, ..., h_(k-1), g_(k+1)> is generated by k elements and was found.
+    Step k + 1 therefore adds nothing either, and by induction no later step
+    does; as every subgroup of a finite group is finitely generated, `found`
+    then holds them all.
     """
 
     def closure(seed):

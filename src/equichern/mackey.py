@@ -479,21 +479,16 @@ def mu_H_check(M, H):
                         MuBlock(kl, ol, kk, ok_, False,
                                 f"diagonal block is not {expected} * identity")
                     )
-            else:
+            elif not is_zero:
                 # off-diagonal blocks may be nonzero only when the column
                 # class is strictly subconjugate to the row class
-                subconj = len(cat.mors[(kk, kl)]) > 0 and (kk != kl)
-                same_class_diff_orbit = kk == kl and ol != ok_
-                if not is_zero and (same_class_diff_orbit or not (subconj or kk == kl)):
-                    violations.append(
-                        MuBlock(kl, ol, kk, ok_, False,
-                                "nonzero block violates subconjugacy triangularity")
-                    )
-                if same_class_diff_orbit and not is_zero:
-                    violations.append(
-                        MuBlock(kl, ol, kk, ok_, False,
-                                "nonzero block between distinct orbits of one class")
-                    )
+                if kk == kl:
+                    detail = "nonzero block between distinct orbits of one class"
+                elif not cat.mors[(kk, kl)]:
+                    detail = "nonzero block violates subconjugacy triangularity"
+                else:
+                    continue
+                violations.append(MuBlock(kl, ol, kk, ok_, False, detail))
     invertible = C.rank() == total
     return MuReport(
         object_class=h_idx,

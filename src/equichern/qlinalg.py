@@ -25,7 +25,9 @@ map), `induced_map` writes down the map a matrix induces on such
 representatives, and `induced_action` does so for a whole group action with
 one solve.  `joint_kernel` is the case of an invariant subspace: the common
 kernel of several maps with the action induced on it.  Fixed subspaces come
-from one checked averaging projector, `averaging_projector`.
+from one checked averaging projector, `averaging_projector`.  Every hom space
+is the kernel of one `intertwining_system`: equivariant maps between group
+actions and natural transformations between modules over a category alike.
 """
 
 from __future__ import annotations
@@ -301,18 +303,6 @@ class RationalMatrix:
         Rt, pivots = self.transpose().rref()
         return tuple(Rt.data[i] for i in range(len(pivots)))
 
-    def cokernel_basis(self):
-        """Standard unit vectors completing image_basis to a basis of the target."""
-        _, pivots = self.transpose().rref()
-        pivot_set = set(pivots)
-        out = []
-        for i in range(self.rows):
-            if i not in pivot_set:
-                v = [Fraction(0)] * self.rows
-                v[i] = Fraction(1)
-                out.append(tuple(v))
-        return tuple(out)
-
     def solve(self, B):
         """The X with self.X = B, from one rref of [self | B]; unknowns at
         non-pivot columns are 0.  Raises InconsistentSystemError if any
@@ -477,29 +467,39 @@ def invariants(action):
     return P.image_basis()
 
 
+def intertwining_system(constraints, src_dims, dst_dims):
+    """The integer matrix whose kernel is the set of tuples (t_x) of
+    dst_dims[x] x src_dims[x] matrices with t_x . A = B . t_y for every
+    constraint (x, y, A, B).  The unknowns are the entries of t_0, t_1, ...
+    in turn, each row by row; a constraint with x == y accumulates."""
+    offsets = [0]
+    for s, d in zip(src_dims, dst_dims):
+        offsets.append(offsets[-1] + s * d)
+    total = offsets[-1]
+    rows = []
+    for x, y, A, B in constraints:
+        sx, sy = src_dims[x], src_dims[y]
+        if (A.rows, A.cols, B.rows, B.cols) != (sx, sy, dst_dims[x], dst_dims[y]):
+            raise LinAlgError(f"constraint ({x}, {y}) has the wrong shape")
+        den = lcm(A.den, B.den)
+        a, b = A._numerators_over(den), B._numerators_over(den)
+        ox, oy = offsets[x], offsets[y]
+        for i in range(dst_dims[x]):
+            for j in range(sy):
+                row = [0] * total
+                for l in range(sx):
+                    row[ox + i * sx + l] += a[l][j]
+                for k in range(dst_dims[y]):
+                    row[oy + k * sy + j] -= b[i][k]
+                rows.append(tuple(row))
+    return RationalMatrix._of(len(rows), total, tuple(rows))
+
+
 def equivariant_hom_dim(A, B):
     """dim of W-equivariant linear maps A -> B (same group on both sides)."""
     if A.group is not B.group and A.group.table != B.group.table:
         raise LinAlgError("equivariant_hom_dim: actions over different groups")
-    gens = A.group.generators()
-    if A.dim == 0 or B.dim == 0:
-        return 0
-    if not gens:
-        return A.dim * B.dim
-    # unknown F is dimB x dimA; constraint B(w) F - F A(w) = 0 per generator,
-    # times the common denominator of B(w) and A(w)
-    rows = []
-    for w in gens:
-        Bw, Aw = B.mats[w], A.mats[w]
-        den = lcm(Bw.den, Aw.den)
-        bw, aw = Bw._numerators_over(den), Aw._numerators_over(den)
-        for i in range(B.dim):
-            for j in range(A.dim):
-                row = [0] * (A.dim * B.dim)
-                for k in range(B.dim):
-                    row[k * A.dim + j] += bw[i][k]
-                for l in range(A.dim):
-                    row[i * A.dim + l] -= aw[l][j]
-                rows.append(row)
-    M = RationalMatrix(len(rows), A.dim * B.dim, rows)
-    return M.cols - len(M.rref()[1])
+    S = intertwining_system(
+        [(0, 0, A.mats[w], B.mats[w]) for w in A.group.generators()], [A.dim], [B.dim]
+    )
+    return S.cols - S.rank()

@@ -256,6 +256,54 @@ def column_solve(a, b):
     return out
 
 
+def fraction_intertwiners(constraints, src_dims, dst_dims):
+    """Kernel basis of the hom-space system t_x . A = B . t_y, one constraint
+    (x, y, A, B) at a time, as `hom_over_category` built it before
+    `intertwining_system`: a row of `Fraction` per entry, read from `.data`,
+    the unknowns t_0, t_1, ... row by row.  The kernel comes from
+    `dense_rref`."""
+    offsets = []
+    total = 0
+    for s, d in zip(src_dims, dst_dims):
+        offsets.append(total)
+        total += s * d
+    rows = []
+    for x, y, A, B in constraints:
+        # constraint: t_x . A = B . t_y   (both dst_dims[x] x src_dims[y])
+        for i in range(dst_dims[x]):
+            for j in range(src_dims[y]):
+                row = [Fraction(0)] * total
+                for l in range(src_dims[x]):
+                    row[offsets[x] + i * src_dims[x] + l] += A.data[l][j]
+                for k in range(dst_dims[y]):
+                    row[offsets[y] + k * src_dims[y] + j] -= B.data[i][k]
+                rows.append(row)
+    R, pivots = dense_rref(RationalMatrix(len(rows), total, rows))
+    basis = []
+    for f in (c for c in range(total) if c not in pivots):
+        v = [Fraction(0)] * total
+        v[f] = Fraction(1)
+        for r, p in enumerate(pivots):
+            v[p] = -R[r][f]
+        basis.append(tuple(v))
+    return basis
+
+
+def fraction_hom_over_category(M, N):
+    """The components of each basis map M => N from `fraction_intertwiners`
+    over every morphism f: x -> y, with M(f) and N(f) as A and B."""
+    constraints = [(f.src, f.dst, M.maps[f], N.maps[f]) for f in M.cat.all_mors()]
+    out = []
+    for vec in fraction_intertwiners(constraints, M.dims, N.dims):
+        comps = []
+        off = 0
+        for m, n in zip(M.dims, N.dims):
+            comps.append(RationalMatrix(n, m, [vec[off + i * m: off + (i + 1) * m] for i in range(n)]))
+            off += m * n
+        out.append(tuple(comps))
+    return out
+
+
 def quotient_cw_homology_dims(X, H_elems):
     """Homology dims of C_G(H) \\ X^H computed from raw fixed-point cells.
 

@@ -183,7 +183,9 @@ def test_chern_injected_fault(capsys):
     )
     assert code == 1
     assert "MISMATCH" in out
-    assert "breakdown" in out
+    # the Bredon side is not split by subgroup class; the header says so
+    assert "-- left breakdown (Bredon side per (n, p, q) only, not per class) --" in out
+    assert "-- right breakdown --" in out
 
 
 def test_chern_json(capsys):

@@ -149,6 +149,21 @@ def test_yoneda(s3, d4):
                 assert len(homs) == N.dims[c], (G.name, c)
 
 
+def test_hom_over_category_matches_fraction_oracle(s3, d4):
+    # the same basis, map for map, as the Fraction rows read from `.data`
+    rng = random.Random(17)
+    for G in (s3, d4):
+        cat = build_sub_category(G)
+        for _ in range(4):
+            F = free_module(cat, rng.randrange(len(cat.objects)))
+            R = random_module(cat, rng)
+            modules = [R, random_module(cat, rng), F, direct_sum([F, R])]
+            for src in modules:
+                for tgt in modules:
+                    got = [h.components for h in hom_over_category(src, tgt)]
+                    assert got == oracles.fraction_hom_over_category(src, tgt), G.name
+
+
 def test_hom_contains_identity(s3):
     cat = build_sub_category(s3)
     F = free_module(cat, 2)
@@ -207,6 +222,7 @@ def test_splitting_S_free(s3):
         assert s.action.dim == W.order
         reg_char = tuple(W.order if w == 0 else 0 for w in range(W.order))
         assert s.action.character() == reg_char
+        assert s.reps.cols + s.image.cols == F.dims[c]
         for d in range(len(cat.objects)):
             if d != c:
                 assert splitting_S(F, d).action.dim == 0, (c, d)

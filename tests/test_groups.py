@@ -23,6 +23,7 @@ from equichern.groups import (
 )
 
 import oracles
+from generators import direct_product
 
 
 def test_parse_trivial_group():
@@ -102,6 +103,13 @@ def test_subgroup_enumeration_against_oracle(groups):
         assert len(subs) == subgroup_count_oracle(G)
         if name in expected_counts:
             assert len(subs) == expected_counts[name]
+
+
+def test_subgroup_count_oracle_needs_three_generators(z2):
+    # Z2^3 is the first test group with a subgroup that needs three
+    # generators (itself): 1 + 7 + 7 + 1 = 16 subgroups
+    G = FiniteGroup(direct_product(direct_product(z2.table, z2.table), z2.table), name="z2^3")
+    assert subgroup_count_oracle(G) == len(enumerate_subgroups(G)) == 16
 
 
 def test_enumerate_subgroups_has_no_order_cap():

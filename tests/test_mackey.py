@@ -235,6 +235,34 @@ def test_mu_check_burnside_d4(d4):
     assert report.passed()
 
 
+def test_mu_check_reports_a_bad_block_once(d4, monkeypatch):
+    # mor(K, H) for K = {0,1} and H = {0,1,4,5} in D4 has two aut(K)-orbits
+    M = burnside_mackey(d4)
+    H = subgroup(d4, (0, 1, 4, 5))
+    assert mu_H_check(M, H).passed()  # also caches nu before ind is wrapped
+    ct = M.classes
+    h_idx, _ = ct.transport(H)
+    k_idx, _ = ct.transport(subgroup(d4, (0, 1)))
+    rep_k, rep_h = ct.rep(k_idx), ct.rep(h_idx)
+    f0, f1 = (o.rep for o in nu_of_mackey(M).coinductions[k_idx].orbit_data[h_idx])
+    ind = M.ind
+
+    def corrupted(g, L, K):
+        # the second orbit's induction picks up the first one's
+        out = ind(g, L, K)
+        if g == f1.rep and L.elems == rep_k.elems and K.elems == rep_h.elems:
+            out = out.add(ind(f0.rep, L, K))
+        return out
+
+    monkeypatch.setattr(M, "ind", corrupted)
+    report = mu_H_check(M, H)
+    assert not report.passed()
+    assert [
+        (b.row_class, b.row_orbit, b.col_class, b.col_orbit, b.detail)
+        for b in report.violations
+    ] == [(k_idx, 0, k_idx, 1, "nonzero block between distinct orbits of one class")]
+
+
 def test_zero_mackey(s3):
     Z = zero_mackey(s3)
     assert all(d == 0 for d in Z.dims)

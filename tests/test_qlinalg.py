@@ -14,9 +14,11 @@ from equichern.cyclotomic import (
     parse_cyclotomic,
     phi,
 )
+from equichern.groups import FiniteGroup
 from equichern.qlinalg import (
     GroupAction,
     InconsistentSystemError,
+    LinAlgError,
     RationalMatrix,
     averaging_projector,
     block_matrix,
@@ -24,6 +26,7 @@ from equichern.qlinalg import (
     hstack,
     induced_action,
     induced_map,
+    intertwining_system,
     invariants,
     joint_kernel,
     kernel_mod_image,
@@ -31,6 +34,7 @@ from equichern.qlinalg import (
 )
 
 import oracles
+from generators import random_action
 
 
 def M(rows):
@@ -58,7 +62,7 @@ def test_rank_nullity_random():
         for v in m.kernel_basis():
             assert all(x == 0 for x in m.apply(v))
         assert len(m.image_basis()) == m.rank()
-        assert len(m.cokernel_basis()) == r - m.rank()
+        assert kernel_mod_image(RationalMatrix.zero(0, r), m)[0].cols == r - m.rank()
 
 
 def _random_matrix(rng, rows, cols, density):
@@ -391,13 +395,13 @@ def test_solve_matches_per_column_oracle():
 
 
 def test_cokernel():
-    zero = RationalMatrix.zero(3, 2)
-    assert len(zero.cokernel_basis()) == 3
-    surj = RationalMatrix.identity(2)
-    assert surj.cokernel_basis() == ()
-    col = M([[1], [1]])
-    cok = col.cokernel_basis()
-    assert len(cok) == 1
+    # the cokernel of m: n -> r is ker(r -> 0) modulo im m
+    def cokernel_dim(m):
+        return kernel_mod_image(RationalMatrix.zero(0, m.rows), m)[0].cols
+
+    assert cokernel_dim(RationalMatrix.zero(3, 2)) == 3
+    assert cokernel_dim(RationalMatrix.identity(2)) == 0
+    assert cokernel_dim(M([[1], [1]])) == 1
 
 
 def _z2_swap(z2):
@@ -511,3 +515,43 @@ def test_parse_and_format_cyclotomic():
 
 def test_phi():
     assert [phi(n) for n in (1, 2, 3, 4, 6, 8, 12)] == [1, 1, 2, 2, 2, 4, 4]
+
+
+def test_intertwining_system():
+    # t_0 (1x2) . A = B . t_1 (2x2), and t_1 commutes with the Jordan block C
+    # (a constraint with x == y accumulates)
+    A = RationalMatrix.identity(2)
+    B = M([[1, 1]])
+    C = M([[1, 1], [0, 1]])
+    S = intertwining_system([(0, 1, A, B), (1, 1, C, C)], [2, 2], [1, 2])
+    assert (S.rows, S.cols) == (1 * 2 + 2 * 2, 1 * 2 + 2 * 2)
+    basis = S.kernel_basis()
+    for v in basis:
+        t0, t1 = M([v[0:2]]), M([v[2:4], v[4:6]])
+        assert t0.mul(A) == B.mul(t1)
+        assert t1.mul(C) == C.mul(t1)
+    # t_1 = a.1 + b.(C - 1) and t_0 = B.t_1 = (a, a + b)
+    expected = [(1, 1, 1, 0, 0, 1), (0, 1, 0, 1, 0, 0)]
+    assert len(basis) == 2 == oracles.brute_rank(list(basis) + expected)
+    assert intertwining_system([], [2, 3], [1, 1]).kernel_basis() == RationalMatrix.identity(5).data
+    with pytest.raises(LinAlgError, match="wrong shape"):
+        intertwining_system([(0, 0, A, M([[1]]))], [2], [2])
+
+
+def test_equivariant_hom_dim_matches_fraction_oracle(groups):
+    trivial = FiniteGroup([[0]], name="1")
+    assert trivial.generators() == ()
+    rng = random.Random(23)
+    for W in (trivial, groups["z2"], groups["s3"], groups["d4"]):
+        zero = GroupAction(W, 0, tuple(RationalMatrix.zero(0, 0) for _ in range(W.order)))
+        actions = [zero] + [random_action(W, rng) for _ in range(4)]
+        for A in actions:
+            for B in actions:
+                gens = W.generators()
+                system = [(0, 0, A.mats[w], B.mats[w]) for w in gens]
+                expected = len(oracles.fraction_intertwiners(system, [A.dim], [B.dim]))
+                assert equivariant_hom_dim(A, B) == expected, (W.name, A.dim, B.dim)
+                # and the character inner product, for rational characters
+                chi_a, chi_b = A.character(), B.character()
+                pairing = sum(chi_a[W.inv(g)] * chi_b[g] for g in range(W.order))
+                assert expected == pairing / W.order
