@@ -298,7 +298,8 @@ def fraction_hom_over_category(M, N):
         comps = []
         off = 0
         for m, n in zip(M.dims, N.dims):
-            comps.append(RationalMatrix(n, m, [vec[off + i * m: off + (i + 1) * m] for i in range(n)]))
+            rows = [vec[off + i * m: off + (i + 1) * m] for i in range(n)]
+            comps.append(RationalMatrix(n, m, rows))
             off += m * n
         out.append(tuple(comps))
     return out
