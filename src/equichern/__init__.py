@@ -33,10 +33,8 @@ from .eicat import (
     build_or_category,
     build_sub_category,
     check_splitting_identities,
-    coinduction,
     free_module,
     hom_over_category,
-    induction,
     nu_map,
     project_or_to_sub,
     restriction_along_pr,

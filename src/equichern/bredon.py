@@ -233,7 +233,7 @@ def alpha_map(X, M, p, rng=None):
     hmod, cycle_reps = homology_module(X, p)
     # hom-space basis: the kernel of the system, one column per transformation
     system = hom_system(hmod, Mcat)
-    B = RationalMatrix.from_columns(system.kernel_basis(), dim=system.cols)
+    B = system.kernel_basis()
 
     def pairing_components(cocycle_vec, cycle_reps):
         """The natural transformation H_p => M produced by one cocycle."""
@@ -465,9 +465,16 @@ class CollapseReport:
     group: str
     space: str
     coefficients: str
-    rows: tuple
     left: BredonReport
     right: BredonReport
+
+    @property
+    def rows(self):
+        """One row per n, from the totals of the two reports."""
+        return tuple(
+            CollapseRow(n, self.left.totals[n], self.right.totals[n])
+            for n in sorted(self.left.totals)
+        )
 
     def passed(self):
         return all(r.ok for r in self.rows)
@@ -489,16 +496,10 @@ class CollapseReport:
 
 
 def verify_collapse(X, coeffs, n_range):
-    left = bredon_report(X, coeffs, n_range)
-    right = chern_report(X, coeffs, n_range)
-    rows = tuple(
-        CollapseRow(n, left.totals[n], right.totals[n]) for n in n_range
-    )
     return CollapseReport(
         group=X.group.name,
         space=X.name,
         coefficients=coeffs.name,
-        rows=rows,
-        left=left,
-        right=right,
+        left=bredon_report(X, coeffs, n_range),
+        right=chern_report(X, coeffs, n_range),
     )

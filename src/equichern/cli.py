@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from . import data as bundled
-from .bredon import CoefficientSystem, CollapseRow, bredon_report, verify_collapse
+from .bredon import CoefficientSystem, bredon_report, verify_collapse
 from .chartab import ChartabError, parse_character_table, validate_table
 from .cyclotomic import CyclotomicError
 from .eicat import CategoryError, build_or_category, build_sub_category
@@ -90,13 +90,9 @@ def _load_coefficients(spec, G, q_range, even_only):
         if not report.passed():
             raise MackeyError("\n".join(report.lines()))
     lo, hi = q_range
-    by_q = {
-        q: M
-        for q in range(lo, hi + 1)
-        if not even_only or q % 2 == 0
-    }
-    name = M.name + ("-even" if even_only else "")
-    return CoefficientSystem(G, by_q, name)
+    if even_only:
+        return CoefficientSystem.even_periodic(M, lo, hi)
+    return CoefficientSystem(G, {q: M for q in range(lo, hi + 1)}, M.name)
 
 
 def _parse_range(text):
@@ -192,10 +188,13 @@ def cmd_chern(args):
     n_range = range(args.n_range[0], args.n_range[1] + 1)
     report = verify_collapse(X, coeffs, n_range)
     if args.inject_fault:
-        # test hook: corrupt one side to exercise the mismatch path
-        rows = list(report.rows)
-        rows[-1] = CollapseRow(rows[-1].n, rows[-1].left + 1, rows[-1].right)
-        report.rows = tuple(rows)
+        # test hook: corrupt the Bredon side at the last n, its last entry and
+        # its total alike, to exercise the mismatch path
+        left = report.left
+        n = max(left.totals)
+        left.totals[n] += 1
+        if left.entries and left.entries[-1].n == n:
+            left.entries[-1].dim += 1
     out = {
         "group": G.name,
         "space": X.name,

@@ -7,6 +7,7 @@ Mixed-conductor arithmetic lifts both operands to the lcm conductor.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -227,8 +228,6 @@ def format_cyclotomic(x):
             parts.append(" + " + txt)
     return "".join(parts)
 
-
-import re
 
 _TERM_RE = re.compile(
     r"""^\s*

@@ -12,7 +12,15 @@ conjugacy-class representatives:
 The morphisms between two objects are enumerated in one ascending pass over
 G: each coset aK (or double coset K g C_G(H)) is marked covered when first
 met, so the element that opens it is its minimal representative, and the
-validity test, constant on the coset, runs once per coset.
+validity test, constant on the coset, runs once per coset.  The Sub walk is
+made once per pair of subgroups and cached: it records the minimum of every
+element of a valid double coset, so canonicalising a Sub morphism is a lookup.
+
+A category stores only its nonempty hom-sets, with the morphisms by source
+(`out`) and by target (`into`).  Composition is tabulated over the composable
+pairs, and associativity and functoriality are checked over the composable
+triples and pairs, so the work follows the chains that compose rather than
+every tuple of objects.
 
 Contravariant modules over these categories are functors into Q-vector
 spaces; a morphism f: c -> d is stored as the matrix M(f): M(d) -> M(c).
@@ -65,26 +73,38 @@ def sub_valid_raw(G, src, dst, g):
     return all(G.conj(g, h) in dset for h in src.elems)
 
 
+def _sub_walk(G, src, dst):
+    """(minima, minimum_of) for mor_Sub(src, dst): the minima of the valid
+    double cosets dst * g * C_G(src), ascending, and the minimum of every
+    element of each, from one ascending pass over G, cached per pair."""
+    key = ("sub_walk", src.elems, dst.elems)
+    if key not in G._cache:
+        C = _cached_centralizer(G, src)
+        t = G.table
+        covered = set()
+        minima = []
+        minimum_of = {}
+        for g in range(G.order):
+            if g in covered:
+                continue
+            coset = {t[t[k][g]][c] for k in dst.elems for c in C.elems}
+            covered |= coset
+            if sub_valid_raw(G, src, dst, g):
+                minima.append(g)
+                minimum_of.update(dict.fromkeys(coset, g))
+        G._cache[key] = (tuple(minima), minimum_of)
+    return G._cache[key]
+
+
 def sub_canon_raw(G, src, dst, g):
-    """Minimal element of the double coset dst * g * C_G(src)."""
-    C = _cached_centralizer(G, src)
-    return min(G.mul(G.mul(k, g), c) for k in dst.elems for c in C.elems)
+    """Minimal element of the double coset dst * g * C_G(src), for c(g) a
+    morphism src -> dst."""
+    return _sub_walk(G, src, dst)[1][g]
 
 
 def sub_mors_raw(G, src, dst):
-    """Canonical reps of mor_Sub(src, dst): the minima of the valid double
-    cosets dst * g * C_G(src), in one ascending pass over G."""
-    C = _cached_centralizer(G, src)
-    t = G.table
-    covered = set()
-    out = []
-    for g in range(G.order):
-        if g in covered:
-            continue
-        covered.update(t[t[k][g]][c] for k in dst.elems for c in C.elems)
-        if sub_valid_raw(G, src, dst, g):
-            out.append(g)
-    return tuple(out)
+    """Canonical reps of mor_Sub(src, dst), ascending."""
+    return _sub_walk(G, src, dst)[0]
 
 
 def or_valid_raw(G, src, dst, a):
@@ -132,30 +152,30 @@ class EICategory:
         self.class_table = subgroup_conjugacy_classes(G)
         self.objects = tuple(c.rep for c in self.class_table.classes)
         self._object_index = {o.elems: i for i, o in enumerate(self.objects)}
-        self.mors = {}
-        self.mor_index = {}
-        for i, src in enumerate(self.objects):
-            for j, dst in enumerate(self.objects):
-                reps = (
-                    sub_mors_raw(G, src, dst)
-                    if kind == "sub"
-                    else or_mors_raw(G, src, dst)
-                )
-                lst = tuple(Mor(i, j, r) for r in reps)
-                self.mors[(i, j)] = lst
-                for pos, m in enumerate(lst):
-                    self.mor_index[m] = pos
-        self._compose = {}
-        for (i, j), fs in self.mors.items():
-            for k in range(len(self.objects)):
-                gs = self.mors[(j, k)]
-                for f in fs:
-                    for g in gs:
-                        self._compose[(f, g)] = self._raw_then(f, g)
+        mors_raw = sub_mors_raw if kind == "sub" else or_mors_raw
+        hom_sets = (
+            (i, j, mors_raw(G, src, dst))
+            for i, src in enumerate(self.objects)
+            for j, dst in enumerate(self.objects)
+        )
+        # only the nonempty hom-sets, in (source, target) order
+        self.mors = {(i, j): tuple(Mor(i, j, r) for r in reps) for i, j, reps in hom_sets if reps}
+        self.mor_index = {m: pos for lst in self.mors.values() for pos, m in enumerate(lst)}
+        out = [[] for _ in self.objects]
+        into = [[] for _ in self.objects]
+        for f in self.all_mors():
+            out[f.src].append(f)
+            into[f.dst].append(f)
+        self.out = tuple(map(tuple, out))  # morphisms by source
+        self.into = tuple(map(tuple, into))  # morphisms by target
+        self._compose = {
+            (f, g): self._raw_then(f, g) for f in self.all_mors() for g in self.out[f.dst]
+        }
         self._identities = tuple(
             self.canon_mor(i, i, 0) for i in range(len(self.objects))
         )
         self._aut = {}
+        self.associativity_checks = 0  # counted by validate
 
     def object_index(self, sub):
         return self._object_index[sub.elems]
@@ -182,6 +202,14 @@ class EICategory:
     def then(self, f, g):
         return self._compose[(f, g)]
 
+    def composites(self):
+        """The composable pairs (f, g) with f then g."""
+        return self._compose.items()
+
+    def hom(self, i, j):
+        """mor(i, j); () when it is empty."""
+        return self.mors.get((i, j), ())
+
     def identity(self, i):
         return self._identities[i]
 
@@ -197,7 +225,7 @@ class EICategory:
         if i in self._aut:
             return self._aut[i]
         G = self.group
-        endos = self.mors[(i, i)]
+        endos = self.hom(i, i)
         if self.kind == "sub":
             weyl = self.class_table.classes[i].weyl
             mor_of = []
@@ -243,35 +271,26 @@ class EICategory:
         return data
 
     def validate(self):
-        n = len(self.objects)
-        for i in range(n):
-            ident = self.identity(i)
-            for j in range(n):
-                for f in self.mors[(i, j)]:
-                    if self.then(ident, f) != f:
-                        raise CategoryError(f"left identity fails for {f}")
-                for f in self.mors[(j, i)]:
-                    if self.then(f, ident) != f:
-                        raise CategoryError(f"right identity fails for {f}")
-        for (i, j) in self.mors:
-            for k in range(n):
-                for l in range(n):
-                    for f in self.mors[(i, j)]:
-                        for g in self.mors[(j, k)]:
-                            fg = self.then(f, g)
-                            for h in self.mors[(k, l)]:
-                                if self.then(fg, h) != self.then(f, self.then(g, h)):
-                                    raise CategoryError(
-                                        f"associativity fails at {f}, {g}, {h}"
-                                    )
+        for f in self.all_mors():
+            if self.then(self.identity(f.src), f) != f:
+                raise CategoryError(f"left identity fails for {f}")
+            if self.then(f, self.identity(f.dst)) != f:
+                raise CategoryError(f"right identity fails for {f}")
+        checks = 0
+        for (f, g), fg in self.composites():
+            for h in self.out[g.dst]:
+                if self.then(fg, h) != self.then(f, self.then(g, h)):
+                    raise CategoryError(f"associativity fails at {f}, {g}, {h}")
+            checks += len(self.out[g.dst])
+        self.associativity_checks = checks
         # every endomorphism is an isomorphism
-        for i in range(n):
-            for f in self.mors[(i, i)]:
-                if not any(
-                    self.then(f, g) == self.identity(i) and self.then(g, f) == self.identity(i)
-                    for g in self.mors[(i, i)]
-                ):
-                    raise CategoryError(f"endomorphism {f} is not invertible")
+        for f in self.all_mors():
+            ident = self.identity(f.src)
+            if f.src == f.dst and not any(
+                self.then(f, g) == ident and self.then(g, f) == ident
+                for g in self.hom(f.src, f.src)
+            ):
+                raise CategoryError(f"endomorphism {f} is not invertible")
         if self.kind == "sub":
             self._validate_sub_counts()
         return self
@@ -280,23 +299,18 @@ class EICategory:
         """|mor(H,K)| must match an independent count of conjugation maps mod Inn(K)."""
         G = self.group
         for i, H in enumerate(self.objects):
+            images = {tuple(G.conj(g, h) for h in H.elems) for g in range(G.order)}
             for j, K in enumerate(self.objects):
                 kset = set(K.elems)
-                maps = set()
-                for g in range(G.order):
-                    img = tuple(G.conj(g, h) for h in H.elems)
-                    if all(x in kset for x in img):
-                        maps.add(img)
-                remaining = set(maps)
+                remaining = {img for img in images if kset.issuperset(img)}
                 count = 0
                 while remaining:
                     f = min(remaining)
-                    orbit = {tuple(G.conj(k, x) for x in f) for k in K.elems}
-                    remaining.difference_update(orbit)
+                    remaining.difference_update(tuple(G.conj(k, x) for x in f) for k in K.elems)
                     count += 1
-                if count != len(self.mors[(i, j)]):
+                if count != len(self.hom(i, j)):
                     raise CategoryError(
-                        f"|mor({H.literal()},{K.literal()})| = {len(self.mors[(i, j)])} "
+                        f"|mor({H.literal()},{K.literal()})| = {len(self.hom(i, j))} "
                         f"disagrees with independent count {count}"
                     )
 
@@ -344,35 +358,20 @@ class CatModule:
     maps: dict  # Mor -> RationalMatrix
     name: str = "M"
 
-    def dim(self, i):
-        return self.dims[i]
-
-    def map(self, f):
-        return self.maps[f]
-
-    def total_dim(self):
-        return sum(self.dims)
-
     def validate(self):
         cat = self.cat
-        n = len(cat.objects)
-        if len(self.dims) != n:
+        if len(self.dims) != len(cat.objects):
             raise CategoryError("module has wrong number of spaces")
         for f in cat.all_mors():
             m = self.maps[f]
             if m.rows != self.dims[f.src] or m.cols != self.dims[f.dst]:
                 raise CategoryError(f"map for {f} has wrong shape")
-        for i in range(n):
+        for i in range(len(cat.objects)):
             if not self.maps[cat.identity(i)].is_identity():
                 raise CategoryError(f"module map at identity of object {i} is not the identity")
-        for (i, j), fs in cat.mors.items():
-            for k in range(n):
-                for f in fs:
-                    for g in cat.mors[(j, k)]:
-                        if self.maps[cat.then(f, g)] != self.maps[f].mul(self.maps[g]):
-                            raise CategoryError(
-                                f"functoriality fails at {f} then {g}"
-                            )
+        for (f, g), fg in cat.composites():
+            if self.maps[fg] != self.maps[f].mul(self.maps[g]):
+                raise CategoryError(f"functoriality fails at {f} then {g}")
         return self
 
     def action_at(self, i):
@@ -415,11 +414,11 @@ def zero_module(cat):
 
 def free_module(cat, c):
     """Q mor(?, c): dimensions |mor(x, c)|, maps by precomposition."""
-    dims = tuple(len(cat.mors[(x, c)]) for x in range(len(cat.objects)))
+    dims = tuple(len(cat.hom(x, c)) for x in range(len(cat.objects)))
     maps = {}
     for f in cat.all_mors():
-        src_basis = cat.mors[(f.src, c)]
-        dst_basis = cat.mors[(f.dst, c)]
+        src_basis = cat.hom(f.src, c)
+        dst_basis = cat.hom(f.dst, c)
         idx = {m: p for p, m in enumerate(src_basis)}
         mat = [[0] * len(dst_basis) for _ in range(len(src_basis))]
         for col, phi in enumerate(dst_basis):
@@ -458,13 +457,15 @@ def hom_system(M, N):
 
 def hom_over_category(M, N):
     """A basis of the natural transformations M => N."""
+    basis = hom_system(M, N).kernel_basis()
+    scale = Fraction(1, basis.den)
     out = []
-    for vec in hom_system(M, N).kernel_basis():
+    for vec in basis.transpose().num:
         comps = []
         off = 0
         for m, n in zip(M.dims, N.dims):
             rows = [vec[off + i * m: off + (i + 1) * m] for i in range(n)]
-            comps.append(RationalMatrix(n, m, rows))
+            comps.append(RationalMatrix(n, m, rows).scale(scale))
             off += m * n
         out.append(CatModuleMap(M, N, tuple(comps)))
     return out
@@ -491,24 +492,14 @@ class SSplitting:
 
 def splitting_T(M, c):
     cat = M.cat
-    stack = [
-        M.maps[f]
-        for d in range(len(cat.objects))
-        for f in cat.mors[(d, c)]
-        if not cat.is_iso(f)
-    ]
+    stack = [M.maps[f] for f in cat.into[c] if not cat.is_iso(f)]
     basis, action = joint_kernel(stack, M.action_at(c))
     return TSplitting(c, action, basis)
 
 
 def splitting_S(M, c):
     cat = M.cat
-    pieces = [
-        M.maps[f]
-        for d in range(len(cat.objects))
-        for f in cat.mors[(c, d)]
-        if not cat.is_iso(f)
-    ]
+    pieces = [M.maps[f] for f in cat.out[c] if not cat.is_iso(f)]
     n = M.dims[c]
     combined = hstack(pieces) if pieces else RationalMatrix.zero(n, 0)
     reps, image = kernel_mod_image(RationalMatrix.zero(0, n), combined)
@@ -572,7 +563,7 @@ class Coinduction:
             return cat.then(aut.mor_of[W.inv(w)], m)
 
         self.orbit_data, self.lookup = zip(*(
-            _orbit_decomposition(W, V, cat.mors[(c, x)], _pre) for x in range(len(cat.objects))
+            _orbit_decomposition(W, V, cat.hom(c, x), _pre) for x in range(len(cat.objects))
         ))
         dims = tuple(sum(_block_dims(infos)) for infos in self.orbit_data)
         maps = {f: self._value_map(f) for f in cat.all_mors()}
@@ -619,7 +610,7 @@ class Induction:
             return cat.then(m, aut.mor_of[w])
 
         self.orbit_data, self.lookup = zip(*(
-            _orbit_decomposition(W, V, cat.mors[(x, c)], _post) for x in range(len(cat.objects))
+            _orbit_decomposition(W, V, cat.hom(x, c), _post) for x in range(len(cat.objects))
         ))
         dims = tuple(sum(_block_dims(infos)) for infos in self.orbit_data)
         maps = {f: self._value_map(f) for f in cat.all_mors()}
@@ -639,14 +630,6 @@ class Induction:
             rhs = src_info.projector.mul(V.mats[W.inv(w)].mul(dst_info.basis))
             blocks[(o_idx, j)] = src_info.basis.solve(rhs)
         return block_matrix(blocks, _block_dims(src_infos), _block_dims(dst_infos))
-
-
-def coinduction(cat, c, V):
-    return Coinduction(cat, c, V)
-
-
-def induction(cat, c, V):
-    return Induction(cat, c, V)
 
 
 def restriction_along_pr(sub_module, or_cat):
@@ -740,7 +723,7 @@ def nu_map(M):
     verdicts = []
     for x in range(nobj):
         comp = components[x]
-        injective = len(comp.kernel_basis()) == 0
+        injective = comp.rank() == comp.cols
         bijective = injective and comp.rows == comp.cols
         verdicts.append(NuVerdict(injective, bijective, comp.cols, comp.rows))
     return NuMap(

@@ -93,9 +93,6 @@ class GCWComplex:
                         f"d∘d != 0 at cell {cell.ident}: residual formal sum {bad}"
                     )
 
-    def n_cells(self, n):
-        return self.cells[n] if 0 <= n <= self.dim else ()
-
 
 @dataclass
 class EvaluatedChainComplex:
@@ -255,12 +252,6 @@ class GradedHomology:
     actions: tuple | None  # per degree: induced GroupAction (if input had one)
     characters: tuple | None  # per degree: trace per group element
 
-    def dim(self, p):
-        return self.dims[p] if 0 <= p < len(self.dims) else 0
-
-    def action(self, p):
-        return self.actions[p] if self.actions is not None else None
-
 
 def homology_with_action(C):
     """H_p = ker d_p / im d_{p+1}, with the induced action on chosen cycles."""
@@ -404,8 +395,6 @@ def _parse_boundary_sum(text, ident_index, degree, G, lineno):
                 chunks.append((sign, buf.strip()))
                 sign = 1
             sign *= 1 if ch == "+" else -1
-            if not buf.strip() and ch == "-":
-                pass
             buf = ""
         else:
             buf += ch

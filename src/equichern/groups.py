@@ -467,9 +467,6 @@ class SubgroupClassTable:
         i = self._index[sub.elems]
         return i, self.classes[i].conjugators[sub.elems]
 
-    def all_subgroups(self):
-        return enumerate_subgroups(self.group)
-
 
 def subgroup_conjugacy_classes(G):
     key = ("classtable",)

@@ -484,7 +484,7 @@ def mu_H_check(M, H):
                 # class is strictly subconjugate to the row class
                 if kk == kl:
                     detail = "nonzero block between distinct orbits of one class"
-                elif not cat.mors[(kk, kl)]:
+                elif not cat.hom(kk, kl):
                     detail = "nonzero block violates subconjugacy triangularity"
                 else:
                     continue

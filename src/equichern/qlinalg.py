@@ -280,21 +280,23 @@ class RationalMatrix:
         return len(self.rref()[1])
 
     def kernel_basis(self):
-        """Echelon-canonical basis of the null space, as tuples."""
-        if not self.rows:
-            return self.identity(self.cols).data
+        """Echelon-canonical basis of the null space, as the columns of a
+        matrix: one per free column f, with 1 at f and minus column f of the
+        rref at the pivots."""
         R, pivots = self.rref()
         pivot_set = set(pivots)
         free = [c for c in range(self.cols) if c not in pivot_set]
-        zero, one = Fraction(0), Fraction(1)
-        basis = []
-        for f in free:
-            v = [zero] * self.cols
-            v[f] = one
+        num = [[0] * len(free) for _ in range(self.cols)]
+        for k, f in enumerate(free):
+            num[f][k] = R.den
             for r, p in enumerate(pivots):
-                v[p] = Fraction(-R.num[r][f], R.den)
-            basis.append(tuple(v))
-        return tuple(basis)
+                num[p][k] = -R.num[r][f]
+        return _reduced(self.cols, len(free), tuple(map(tuple, num)), R.den)
+
+    def _columns(self, idx):
+        """The matrix of the columns idx, in that order."""
+        num = tuple(tuple(row[j] for j in idx) for row in self.num)
+        return _reduced(self.rows, len(idx), num, self.den)
 
     def image_basis(self):
         """Echelon-canonical basis of the column space."""
@@ -370,13 +372,12 @@ def kernel_mod_image(d_out, d_in):
     vectors before them: the pivot columns of one rref of [image | kernel].
     A degree with no outgoing map passes its 0 x n map, and one with no
     incoming map its n x 0 map."""
-    n = d_out.cols
     reps = d_out.kernel_basis()
-    image = RationalMatrix.from_columns(d_in.image_basis(), dim=n)
+    image = RationalMatrix.from_columns(d_in.image_basis(), dim=d_out.cols)
     if image.cols:  # with no image every kernel vector is a pivot
-        _, pivots = hstack([image, RationalMatrix.from_columns(reps, dim=n)]).rref()
-        reps = [reps[j - image.cols] for j in pivots if j >= image.cols]
-    return RationalMatrix.from_columns(reps, dim=n), image
+        _, pivots = hstack([image, reps]).rref()
+        reps = reps._columns([j - image.cols for j in pivots if j >= image.cols])
+    return reps, image
 
 
 def induced_map(m, src, reps, image):
@@ -404,9 +405,7 @@ def joint_kernel(maps, action):
     """(basis, induced action): the common kernel of `maps`, matrices on the
     space `action` acts on, as basis columns, with the action induced on it."""
     n = action.dim
-    basis = RationalMatrix.from_columns(
-        vstack([RationalMatrix.zero(0, n), *maps]).kernel_basis(), dim=n
-    )
+    basis = vstack([RationalMatrix.zero(0, n), *maps]).kernel_basis()
     return basis, induced_action(action, basis, RationalMatrix.zero(n, 0))
 
 
@@ -422,9 +421,6 @@ class GroupAction:
     def trivial(group, dim):
         ident = RationalMatrix.identity(dim)
         return GroupAction(group, dim, tuple(ident for _ in range(group.order)))
-
-    def mat(self, g):
-        return self.mats[g]
 
     def validate(self):
         if len(self.mats) != self.group.order:

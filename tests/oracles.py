@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from equichern.eicat import Mor
 from equichern.groups import conjugate_subgroup, subgroup, subgroup_conjugacy_classes
 from equichern.mackey import _class_index_within, _subgroup_classes_within
 from equichern.qlinalg import RationalMatrix, hstack
@@ -450,6 +451,48 @@ def per_a_or_mors(table, H, K):
         if all(table[table[ai][h]][a] in kset for h in H):
             out.add(min(table[a][k] for k in K))
     return tuple(sorted(out))
+
+
+def dense_category(G, kind):
+    """The Sub ("sub") or Or ("or") category as `EICategory` built it when it
+    stored every hom-set: (mors, compose, triples).  `mors[(i, j)]` is there
+    for every pair of objects, empty or not, from `per_g_sub_mors` or
+    `per_a_or_mors`; `compose[(f, g)]` is filled over every object triple
+    (i, j, k), each composite canonicalised by a min over its whole (double)
+    coset; `triples` is the number of composable triples (f, g, h), the
+    associativity checks, counted from the hom-set sizes alone."""
+    table = G.table
+    objects = [c.rep.elems for c in subgroup_conjugacy_classes(G).classes]
+    n = len(objects)
+    if kind == "sub":
+        cents = [brute_centralizer(table, H) for H in objects]
+        mors_of = per_g_sub_mors
+
+        def composite(f, g):
+            rep = table[g.rep][f.rep]
+            return min(table[table[k][rep]][c] for k in objects[g.dst] for c in cents[f.src])
+    else:
+        mors_of = per_a_or_mors
+
+        def composite(f, g):
+            return min(table[table[f.rep][g.rep]][k] for k in objects[g.dst])
+
+    mors = {
+        (i, j): tuple(Mor(i, j, r) for r in mors_of(table, H, K))
+        for i, H in enumerate(objects)
+        for j, K in enumerate(objects)
+    }
+    compose = {}
+    for (i, j), fs in mors.items():
+        for k in range(n):
+            for f in fs:
+                for g in mors[(j, k)]:
+                    compose[(f, g)] = Mor(i, k, composite(f, g))
+    # sum over (j, k) of |mor(-, j)| |mor(j, k)| |mor(k, -)|
+    size = [[len(mors[(i, j)]) for j in range(n)] for i in range(n)]
+    into = [sum(size[i][j] for i in range(n)) for j in range(n)]
+    triples = sum(into[j] * size[j][k] * sum(size[k]) for j in range(n) for k in range(n))
+    return mors, compose, triples
 
 
 def min_scan_burnside_incl_res(G, L, j):

@@ -186,6 +186,12 @@ def test_chern_injected_fault(capsys):
     # the Bredon side is not split by subgroup class; the header says so
     assert "-- left breakdown (Bredon side per (n, p, q) only, not per class) --" in out
     assert "-- right breakdown --" in out
+    # the fault is in the Bredon report itself, so the row and the left
+    # breakdown agree: its last entry and its total at n=1 both carry it
+    assert "n=1 bredon=1 chern-target=0 MISMATCH" in out
+    left = out.split("-- left breakdown")[1].split("-- right breakdown --")[0]
+    assert "n=1 p=1 q=0 class=- dim=1" in left
+    assert "total n=1 dim=1" in left
 
 
 def test_chern_json(capsys):

@@ -1,8 +1,9 @@
 """The group layer against the quadratic scans it replaced, past order 24.
 
-Subgroup enumeration, the Sub and Or morphism sets and the Burnside
-restriction matrices are compared with the references in `oracles.py` on
-seeded relabellings of A5, S3xS3, Z2^4, S4 and D4.
+Subgroup enumeration, the Sub and Or morphism sets, the sparse Sub and Or
+categories and the Burnside restriction matrices are compared with the
+references in `oracles.py` on seeded relabellings of A5, S3xS3, Z2^4, S4 and
+D4.
 """
 
 from __future__ import annotations
@@ -11,11 +12,12 @@ import random
 
 import pytest
 
-from equichern.eicat import or_mors_raw, sub_mors_raw
+from equichern.eicat import build_or_category, build_sub_category, or_mors_raw, sub_mors_raw
 from equichern.groups import enumerate_subgroups, subgroup_conjugacy_classes
 from equichern.mackey import burnside_mackey
 from generators import direct_product, permutation_closure, relabelled_group
 from oracles import (
+    dense_category,
     min_scan_burnside_incl_res,
     per_a_or_mors,
     per_g_sub_mors,
@@ -54,6 +56,19 @@ def test_morphisms_match_per_element_scan(group):
         for K in objects:
             assert sub_mors_raw(G, H, K) == per_g_sub_mors(G.table, H.elems, K.elems)
             assert or_mors_raw(G, H, K) == per_a_or_mors(G.table, H.elems, K.elems)
+
+
+@pytest.mark.parametrize("kind", ["sub", "or"])
+def test_sparse_category_matches_dense_build(group, kind):
+    # the same hom-sets, the same composition table and as many
+    # associativity checks as the dense build has composable triples
+    G, _ = group
+    cat = build_sub_category(G) if kind == "sub" else build_or_category(G)
+    mors, compose, triples = dense_category(G, kind)
+    assert cat.mors == {ij: fs for ij, fs in mors.items() if fs}
+    assert all(cat.hom(i, j) == fs for (i, j), fs in mors.items())
+    assert dict(cat.composites()) == compose
+    assert cat.associativity_checks == triples
 
 
 def test_burnside_restriction_matches_min_scan(group):
