@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .groups import FiniteGroup, centralizer, subgroup_conjugacy_classes
 from .qlinalg import (
@@ -50,8 +51,7 @@ class CategoryError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Mor:
+class Mor(NamedTuple):
     """A canonical morphism between skeleton objects (indices into cat.objects)."""
 
     src: int

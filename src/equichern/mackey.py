@@ -21,6 +21,7 @@ from .cyclotomic import Cyclotomic
 from .data import bundled_chartabs
 from .eicat import CatModule, _cached_centralizer, build_sub_category, nu_map
 from .groups import (
+    Subgroup,
     as_group,
     conjugate_subgroup,
     double_cosets,
@@ -32,7 +33,7 @@ from .groups import (
     subgroup,
     subgroup_conjugacy_classes,
 )
-from .qlinalg import GroupAction, RationalMatrix, joint_kernel
+from .qlinalg import GroupAction, LinAlgError, RationalMatrix, joint_kernel
 
 
 class MackeyError(ValueError):
@@ -46,6 +47,11 @@ class MackeyFunctor:
     inclusion L <= rep_j (L an actual subgroup of the j-th class
     representative), written in the transported bases; `weyl_fn(j, n)` the
     covariant conjugation action of n in N_G(rep_j).
+
+    `res` and `ind` along c(g): H -> K are products of these matrices that
+    depend only on the transport key (i, j, L.elems, w) of `_transport_data`.
+    They are cached on that key, so each distinct product is multiplied once;
+    a second map takes (g, H.elems, K.elems) to the key and holds no matrices.
     """
 
     def __init__(self, group, name, dims, incl_res_fn, incl_ind_fn, weyl_fn):
@@ -61,7 +67,8 @@ class MackeyFunctor:
         self._incl_res = {}
         self._incl_ind = {}
         self._weyl = {}
-        self._res = {}
+        self._keys = {}  # (g, H.elems, K.elems) -> transport key
+        self._res = {}  # transport key -> matrix
         self._ind = {}
         self._cache = {}
 
@@ -138,21 +145,30 @@ class MackeyFunctor:
             raise MackeyError("normalizer part is not in the normalizer")
         return i, j, L, weyl.to_weyl[n]
 
+    def transport_key(self, g, H, K):
+        """(i, j, L.elems, w) of `_transport_data` for c(g): H -> K."""
+        key = self._keys.get((g, H.elems, K.elems))
+        if key is None:
+            i, j, L, w = self._transport_data(g, H, K)
+            key = self._keys[(g, H.elems, K.elems)] = (i, j, L.elems, w)
+        return key
+
     def res(self, g, H, K):
         """res along c(g): H -> K, as a matrix M(K) -> M(H)."""
-        key = (g, H.elems, K.elems)
+        key = self.transport_key(g, H, K)
         if key not in self._res:
-            i, j, L, w = self._transport_data(g, H, K)
-            weyl = self.classes.classes[i].weyl
-            w_inv = weyl.group.inv(w)
+            i, j, l_elems, w = key
+            w_inv = self.classes.classes[i].weyl.group.inv(w)
+            L = Subgroup(l_elems, self.group)
             self._res[key] = self.weyl_matrix(i, w_inv).mul(self.incl_res(L, j))
         return self._res[key]
 
     def ind(self, g, H, K):
         """ind along c(g): H -> K, as a matrix M(H) -> M(K)."""
-        key = (g, H.elems, K.elems)
+        key = self.transport_key(g, H, K)
         if key not in self._ind:
-            i, j, L, w = self._transport_data(g, H, K)
+            i, j, l_elems, w = key
+            L = Subgroup(l_elems, self.group)
             self._ind[key] = self.incl_ind(L, j).mul(self.weyl_matrix(i, w))
         return self._ind[key]
 
@@ -242,7 +258,7 @@ def validate_mackey(M):
         for j in range(len(ct.classes)):
             M.weyl_action(j).validate()
             iso_checked += 1
-    except Exception as exc:  # noqa: BLE001 - report, do not crash
+    except (LinAlgError, MackeyError) as exc:
         iso_witness = f"conjugation matrices are not a group action: {exc}"
     if iso_witness is None:
         for cls in ct.classes:
@@ -262,19 +278,28 @@ def validate_mackey(M):
     iso = AxiomVerdict(iso_witness is None, iso_checked, iso_witness)
 
     # axiom (c): the double coset formula for every pair of subgroups of G
+    # with the conjugates K^g and the terms ind . res memoised: a term depends
+    # only on the transport keys of its two factors
     full = subs[-1]
     dc_checked = 0
     dc_witness = None
+    conjugates = {}  # (g, K.elems) -> elements of K^g
+    terms = {}  # (transport key of ind, transport key of res) -> term
     for H in subs:
+        hs = set(H.elems)
         for K in subs:
             lhs = M.res(0, K, full).mul(M.ind(0, H, full))
             acc = RationalMatrix.zero(M.dim_of(K), M.dim_of(H))
             for g in double_cosets(G, K, H).representatives:
-                kg = conjugate_subgroup(G, G.inv(g), K)
-                inter = subgroup(
-                    G, sorted(set(H.elems) & set(kg.elems)), validate=False
-                )
-                acc = acc.add(M.ind(g, inter, K).mul(M.res(0, inter, H)))
+                kg = conjugates.get((g, K.elems))
+                if kg is None:
+                    kg = conjugates[(g, K.elems)] = conjugate_subgroup(G, G.inv(g), K).elems
+                inter = Subgroup(tuple(sorted(hs.intersection(kg))), G)
+                pair = (M.transport_key(g, inter, K), M.transport_key(0, inter, H))
+                term = terms.get(pair)
+                if term is None:
+                    term = terms[pair] = M.ind(g, inter, K).mul(M.res(0, inter, H))
+                acc = acc.add(term)
             dc_checked += 1
             if lhs != acc:
                 dc_witness = (

@@ -495,6 +495,32 @@ def dense_category(G, kind):
     return mors, compose, triples
 
 
+def _supplied_incl(M, fn, L, j):
+    """The supplier's matrix for L <= rep_j, the identity when L = rep_j."""
+    if L.elems == M.classes.rep(j).elems:
+        return RationalMatrix.identity(M.dims[j])
+    return fn(L, j)
+
+
+def uncached_res(M, g, H, K):
+    """res along c(g): H -> K from the supplier functions and the transport
+    data alone: conjugation by w^-1 on M(rep_i) after the restriction to
+    L <= rep_j, multiplied by the dense loop with nothing cached."""
+    i, j, L, w = M._transport_data(g, H, K)
+    weyl = M.classes.classes[i].weyl
+    conj = M.raw_conj_matrix(i, weyl.coset_reps[weyl.group.inv(w)])
+    return RationalMatrix(*dense_mul(conj, _supplied_incl(M, M._incl_res_fn, L, j)))
+
+
+def uncached_ind(M, g, H, K):
+    """ind along c(g): H -> K, as `uncached_res`: the induction from L <= rep_j
+    after conjugation by w on M(rep_i)."""
+    i, j, L, w = M._transport_data(g, H, K)
+    weyl = M.classes.classes[i].weyl
+    conj = M.raw_conj_matrix(i, weyl.coset_reps[w])
+    return RationalMatrix(*dense_mul(_supplied_incl(M, M._incl_ind_fn, L, j), conj))
+
+
 def min_scan_burnside_incl_res(G, L, j):
     """Rows of the Burnside restriction matrix from rep(j) to L, with every
     coset key found by a min over the whole coset at every step.  Class

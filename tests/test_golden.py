@@ -26,7 +26,10 @@ from equichern.cli import main
 from equichern.data import bundled_group, bundled_group_names
 from equichern.eicat import Coinduction, Induction
 from equichern.gcw import builtin_examples, parse_gcw
+from equichern.groups import FiniteGroup, format_group
 from equichern.mackey import builtin_mackey, mackey_to_sub_module, nu_of_mackey
+
+from generators import direct_product, permutation_closure
 
 GOLDEN = Path(__file__).parent / "golden"
 COEFFS = ("constant", "burnside", "repring")
@@ -35,7 +38,23 @@ SPACES = (("dihedral_polygon", "d4"), ("reflection_circle", "z2"), ("s3_triangle
 # do not see them; free_wedge_s3 gives alpha a nonempty matrix in degree 1
 FIXTURE_SPACES = (("free_wedge_s3", "s3"),)
 MACKEY_GROUPS = ("s3", "d4", "q8", "a4", "z6", "z2", "z3", "z4", "z5", "z7", "z8", "s4")
+# groups past the bundled corpus, kept beside the goldens as `.grp` fixtures
+# built by tests/generators.py; S5 and S4xZ3 exceed the default --cap of 64
+S4_GENS = [(1, 0, 2, 3), (1, 2, 3, 0)]
+FIXTURE_GROUPS = {
+    "a5": lambda: permutation_closure([(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)]),
+    "s5": lambda: permutation_closure([(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)]),
+    "s4xz3": lambda: direct_product(permutation_closure(S4_GENS), permutation_closure([(1, 2, 0)])),
+}
 NU_GROUPS = ("s3", "d4", "q8")
+
+
+def _group_arg(group):
+    return str(GOLDEN / f"{group}.grp")
+
+
+def _fixture_group_text(group):
+    return format_group(FiniteGroup(FIXTURE_GROUPS[group](), name=group))
 
 
 def _space_arg(space):
@@ -63,6 +82,15 @@ def _cases():
             cases.append((f"mackey_{group}_{coeff}.txt", ["mackey", "--group", group, "--coeff", coeff]))
     for group in bundled_group_names():
         cases.append((f"info_{group}.txt", ["info", "--group", group]))
+    cases.append(("mackey_a5_burnside.txt", ["mackey", "--group", _group_arg("a5"), "--coeff", "burnside"]))
+    cases.append((
+        "mackey_s5_burnside.txt",
+        ["mackey", "--group", _group_arg("s5"), "--coeff", "burnside", "--cap", "128"],
+    ))
+    cases.append((
+        "chern_point_s4xz3_burnside.txt",
+        ["chern", "--group", _group_arg("s4xz3"), "--space", "point", "--coeff", "burnside", "--cap", "128"],
+    ))
     return cases
 
 
@@ -137,6 +165,11 @@ def test_golden_report(name, argv):
     assert out == (GOLDEN / name).read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("group", sorted(FIXTURE_GROUPS))
+def test_group_fixture_is_generated(group):
+    assert _fixture_group_text(group) == (GOLDEN / f"{group}.grp").read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize(
     "name,fn,args", LIBRARY_CASES, ids=[name for name, _, _ in LIBRARY_CASES]
 )
@@ -146,6 +179,8 @@ def test_golden_matrices(name, fn, args):
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
+    for group in FIXTURE_GROUPS:
+        (GOLDEN / f"{group}.grp").write_text(_fixture_group_text(group), encoding="utf-8")
     for name, argv in CASES:
         code, out = _run(argv)
         if code != 0:

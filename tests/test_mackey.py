@@ -26,6 +26,8 @@ from equichern.mackey import (
 )
 from equichern.qlinalg import RationalMatrix, invariants
 
+import oracles
+
 
 def test_constant_validates(s3, z6):
     for G in (s3, z6):
@@ -104,6 +106,80 @@ def test_corrupted_ind_fails_axiom_c(s3):
     assert not report.passed()
     assert not report.double_coset.ok
     assert "H={" in report.double_coset.witness and "K={" in report.double_coset.witness
+
+
+def _constant_with_conjugation(G, matrix):
+    """The constant functor on G with `matrix` for every conjugation outside
+    the Weyl identity, so axiom (a) holds whatever `matrix` is."""
+    good = constant_mackey(G)
+
+    def weyl(j, n):
+        if good.classes.classes[j].weyl.to_weyl[n] == 0:
+            return RationalMatrix.identity(1)
+        return matrix
+
+    return MackeyFunctor(G, "twisted", good.dims, good.incl_res, good.incl_ind, weyl)
+
+
+def test_conjugation_not_a_group_action_fails_axiom_b(s3):
+    """Negative control: conjugation by 2 on every nontrivial Weyl element is
+    no homomorphism (2 * 2 != 2), and axiom (b) names it."""
+    report = validate_mackey(_constant_with_conjugation(s3, RationalMatrix.from_rows([[2]])))
+    assert report.conjugation.ok
+    assert not report.isomorphisms.ok
+    assert report.isomorphisms.witness.startswith(
+        "conjugation matrices are not a group action: action is not a homomorphism"
+    )
+    assert "axiom (b) isomorphisms: FAIL (conjugation matrices are not a group action" in "\n".join(
+        report.lines()
+    )
+
+
+class _MulBug(RationalMatrix):
+    __slots__ = ()
+
+    def mul(self, other):
+        raise TypeError("bug in a supplied matrix")
+
+
+def test_internal_error_in_axiom_b_propagates(s3):
+    """An internal bug in the group-action check is raised, not reported as
+    a verdict on the input."""
+    M = _constant_with_conjugation(s3, _MulBug(1, 1, [[1]]))
+    with pytest.raises(TypeError, match="bug in a supplied matrix"):
+        validate_mackey(M)
+
+
+def test_transport_keyed_products_match_uncached_oracle(s3, d4, a4, monkeypatch):
+    """res and ind on every morphism c(g): H -> K equal the matrices built
+    from the suppliers with no cache, and each distinct transport key costs
+    exactly one product."""
+    muls = []
+    mul = RationalMatrix.mul
+
+    def counted_mul(a, b):
+        muls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(RationalMatrix, "mul", counted_mul)
+    for G in (s3, d4, a4):
+        subs = enumerate_subgroups(G)
+        for build in (constant_mackey, burnside_mackey, repring_mackey):
+            M = build(G)
+            keys = set()
+            del muls[:]
+            for H in subs:
+                for K in subs:
+                    kset = set(K.elems)
+                    for g in range(G.order):
+                        if any(G.conj(g, h) not in kset for h in H.elems):
+                            continue
+                        i, j, L, w = M._transport_data(g, H, K)
+                        keys.add((i, j, L.elems, w))
+                        assert M.res(g, H, K) == oracles.uncached_res(M, g, H, K)
+                        assert M.ind(g, H, K) == oracles.uncached_ind(M, g, H, K)
+            assert len(M._res) == len(M._ind) == len(keys), (G.name, M.name)
+            assert len(muls) == 2 * len(keys), (G.name, M.name)
 
 
 def test_mackey_to_sub_module(s3):
