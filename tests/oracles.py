@@ -8,9 +8,14 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd
 
+from equichern.chartab import character_table_for_subgroup
+from equichern.cyclotomic import cyclotomic_polynomial
+from equichern.data import bundled_chartabs
 from equichern.eicat import Mor
-from equichern.groups import conjugate_subgroup, subgroup, subgroup_conjugacy_classes
+from equichern.groups import as_group, conjugate_subgroup, subgroup, subgroup_conjugacy_classes
 from equichern.mackey import _class_index_within, _subgroup_classes_within
 from equichern.qlinalg import RationalMatrix, hstack
 
@@ -551,3 +556,108 @@ def min_scan_burnside_incl_res(G, L, j):
             moved = conjugate_subgroup(G, G.inv(t_l), subgroup(G, stab, validate=False))
             data[_class_index_within(G, ct.rep(li), moved)][col] += 1
     return _frozen(data)
+
+
+@lru_cache(maxsize=None)
+def _fraction_power_table(n):
+    """x^e mod Phi_n for 0 <= e <= 2n, as tuples of Fractions of length phi(n)."""
+    poly = cyclotomic_polynomial(n)
+    deg = len(poly) - 1
+    cur = [Fraction(1)] + [Fraction(0)] * (deg - 1)
+    table = [tuple(cur)]
+    for _ in range(2 * n):
+        nxt = [Fraction(0)] + cur
+        overflow = nxt[deg]
+        for i in range(deg):
+            nxt[i] -= overflow * poly[i]
+        cur = nxt[:deg]
+        table.append(tuple(cur))
+    return table
+
+
+class FractionCyclotomic:
+    """Reference arithmetic in Q(zeta_N): `Fraction` coordinates in the power
+    basis zeta^0..zeta^{phi(N)-1}, every product reduced term by term through
+    the power table, mixed conductors lifted to their lcm."""
+
+    def __init__(self, conductor, coords):
+        self.conductor = conductor
+        self.coords = tuple(Fraction(c) for c in coords)
+        assert len(self.coords) == len(cyclotomic_polynomial(conductor)) - 1
+
+    @staticmethod
+    def rational(q, conductor=1):
+        deg = len(cyclotomic_polynomial(conductor)) - 1
+        return FractionCyclotomic(conductor, [q] + [0] * (deg - 1))
+
+    @staticmethod
+    def of(x):
+        """The reference copy of a library `Cyclotomic`."""
+        return FractionCyclotomic(x.conductor, x.coords)
+
+    def lift(self, conductor):
+        assert conductor % self.conductor == 0
+        step = conductor // self.conductor
+        table = _fraction_power_table(conductor)
+        out = [Fraction(0)] * len(table[0])
+        for k, c in enumerate(self.coords):
+            for i, t in enumerate(table[k * step]):
+                out[i] += c * t
+        return FractionCyclotomic(conductor, out)
+
+    def _common(self, other):
+        n = self.conductor * other.conductor // gcd(self.conductor, other.conductor)
+        return self.lift(n), other.lift(n)
+
+    def __add__(self, other):
+        a, b = self._common(other)
+        return FractionCyclotomic(a.conductor, [x + y for x, y in zip(a.coords, b.coords)])
+
+    def __sub__(self, other):
+        a, b = self._common(other)
+        return FractionCyclotomic(a.conductor, [x - y for x, y in zip(a.coords, b.coords)])
+
+    def __mul__(self, other):
+        a, b = self._common(other)
+        table = _fraction_power_table(a.conductor)
+        out = [Fraction(0)] * len(a.coords)
+        for i, x in enumerate(a.coords):
+            for j, y in enumerate(b.coords):
+                if x and y:
+                    for k, t in enumerate(table[i + j]):
+                        out[k] += x * y * t
+        return FractionCyclotomic(a.conductor, out)
+
+    def __eq__(self, other):
+        a, b = self._common(other)
+        return a.coords == b.coords
+
+    def is_rational(self):
+        return all(c == 0 for c in self.coords[1:])
+
+
+def reference_repring_incl_res(G, L, j):
+    """Rows of the `repring` restriction matrix from rep(j) to L: each
+    multiplicity (1/|L|) sum over every element y of L of chi(y) psi(y^-1),
+    in `FractionCyclotomic`, with psi read on rep(li) through the transport
+    of L.  The tables are the library's transported ones."""
+    ct = subgroup_conjugacy_classes(G)
+    li, t_l = ct.transport(L)
+    tables = bundled_chartabs()
+    table_r, view_r = character_table_for_subgroup(ct.rep(j), tables), as_group(ct.rep(j))
+    table_l, view_l = character_table_for_subgroup(ct.rep(li), tables), as_group(ct.rep(li))
+    out = []
+    for jj in range(table_l.n_irr):
+        row = []
+        for ii in range(table_r.n_irr):
+            total = FractionCyclotomic.rational(0)
+            for y in L.elems:
+                moved = G.mul(G.mul(G.inv(t_l), G.inv(y)), t_l)
+                a = FractionCyclotomic.of(table_r.value(ii, view_r.from_parent[y]))
+                b = FractionCyclotomic.of(table_l.value(jj, view_l.from_parent[moved]))
+                total = total + a * b
+            total = total * FractionCyclotomic.rational(Fraction(1, L.order))
+            assert total.is_rational()
+            row.append(total.coords[0])
+        out.append(row)
+    return _frozen(out)

@@ -182,6 +182,21 @@ def test_transport_keyed_products_match_uncached_oracle(s3, d4, a4, monkeypatch)
             assert len(muls) == 2 * len(keys), (G.name, M.name)
 
 
+def test_repring_incl_res_matches_fraction_reference(groups):
+    """Every restriction matrix of the representation ring equals the
+    multiplicities summed element by element in the reference arithmetic."""
+    for name in ("z8", "q8", "d4", "a4", "s4"):
+        G = groups[name]
+        M = repring_mackey(G)
+        subs = enumerate_subgroups(G)
+        for j, cls in enumerate(M.classes.classes):
+            rep = set(cls.rep.elems)
+            for L in subs:
+                if set(L.elems) <= rep:
+                    got = M._incl_res_fn(L, j)
+                    assert got.data == oracles.reference_repring_incl_res(G, L, j), (name, j)
+
+
 def test_mackey_to_sub_module(s3):
     M = mackey_to_sub_module(repring_mackey(s3))
     assert M.dims == (1, 2, 3, 3)
