@@ -55,9 +55,6 @@ class CoefficientSystem:
         by_q = {q: M for q in range(q_min, q_max + 1) if q % 2 == 0}
         return CoefficientSystem(M.group, by_q, f"{M.name}-even")
 
-    def q_values(self):
-        return sorted(self.by_q)
-
     def functor(self, q):
         return self.by_q.get(q)
 

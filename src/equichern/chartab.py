@@ -11,7 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclotomic import Cyclotomic, CyclotomicError, format_cyclotomic, parse_cyclotomic
+from .cyclotomic import (
+    Cyclotomic,
+    CyclotomicError,
+    format_cyclotomic,
+    parse_cyclotomic,
+    weighted_sum,
+)
 from .groups import as_group, element_conjugacy_classes, find_isomorphism, parse_int
 from .qlinalg import RationalMatrix
 
@@ -61,13 +67,13 @@ def _class_data(G):
 def inner_product(table, values_a, values_b):
     """<a, b> = (1/|G|) sum_g a(g) b(g^-1), summed over classes."""
     G = table.group
-    total = Cyclotomic.zero(1)
-    for k, rep in enumerate(table.class_reps):
-        inv_cls = table.class_of[G.inv(rep)]
-        term = values_a[k] * values_b[inv_cls]
-        total = total + term * Cyclotomic.rational(table.class_sizes[k])
-    total = total * Cyclotomic.rational(Fraction(1, G.order))
-    return total
+    return weighted_sum(
+        (
+            (table.class_sizes[k], values_a[k], values_b[table.class_of[G.inv(rep)]])
+            for k, rep in enumerate(table.class_reps)
+        ),
+        G.order,
+    )
 
 
 def validate_table(table):
@@ -276,17 +282,15 @@ def restriction_matrix(table_g, table_h, sub):
     if table_h.group.table != view.group.table:
         raise ChartabError("subgroup table does not match the subgroup view")
     H = table_h.group
+    parents = [view.to_parent[rep] for rep in table_h.class_reps]
+    inverses = [H.inv(rep) for rep in table_h.class_reps]
+    a_rows = [[table_g.value(i, y) for y in parents] for i in range(table_g.n_irr)]
     entries = []
     for j in range(table_h.n_irr):
+        b = [table_h.value(j, y) for y in inverses]
         row = []
-        for i in range(table_g.n_irr):
-            total = Cyclotomic.zero(1)
-            for k, rep in enumerate(table_h.class_reps):
-                parent = view.to_parent[rep]
-                a = table_g.value(i, parent)
-                b = table_h.value(j, H.inv(rep))
-                total = total + a * b * Cyclotomic.rational(table_h.class_sizes[k])
-            total = total * Cyclotomic.rational(Fraction(1, H.order))
+        for i, a in enumerate(a_rows):
+            total = weighted_sum(zip(table_h.class_sizes, a, b), H.order)
             if not total.is_rational():
                 raise ChartabError(
                     f"non-rational restriction multiplicity at ({i},{j})"

@@ -2,7 +2,17 @@
 
 An element of Q(zeta_N) is a coordinate vector of length phi(N) in the power
 basis zeta^0..zeta^{phi(N)-1}, reduced modulo the N-th cyclotomic polynomial.
-Mixed-conductor arithmetic lifts both operands to the lcm conductor.
+As in `qlinalg.RationalMatrix`, the coordinates are stored as a tuple of
+integer numerators `num` over one positive denominator `den`, in lowest
+terms, so equal elements of one conductor have equal storage and the
+arithmetic runs on Python ints.  Phi_N is monic with integer coefficients,
+so the power table of zeta_N^e in the basis is integral.  `coords` is the
+`Fraction` view of the coordinates.  Mixed-conductor arithmetic lifts both
+operands to the lcm conductor.
+
+`weighted_sum` is the one kernel for character inner products: it sums
+w * a * b over many terms as exponents of zeta at the lcm conductor in one
+integer accumulator, and reduces modulo Phi_N once at the end.
 """
 
 from __future__ import annotations
@@ -10,7 +20,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 
 class CyclotomicError(ValueError):
@@ -21,6 +31,7 @@ def divisors(n):
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
+@lru_cache(maxsize=None)
 def phi(n):
     return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
 
@@ -65,41 +76,81 @@ def cyclotomic_polynomial(n):
 
 @lru_cache(maxsize=None)
 def _power_table(n):
-    """x^e mod Phi_n for 0 <= e <= 2n, as tuples of Fractions of length phi(n)."""
+    """x^e mod Phi_n for 0 <= e <= 2n, as int tuples of length phi(n)."""
     poly = cyclotomic_polynomial(n)
     deg = len(poly) - 1  # = phi(n)
-    table = []
-    cur = [Fraction(0)] * deg
-    if deg > 0:
-        cur[0] = Fraction(1)
-    table.append(tuple(cur))
+    cur = (1,) + (0,) * (deg - 1)
+    table = [cur]
     for _ in range(2 * n):
-        nxt = [Fraction(0)] * (deg + 1)
-        for i, c in enumerate(cur):
-            nxt[i + 1] = c
-        overflow = nxt[deg]
+        overflow = cur[-1]
+        cur = (0,) + cur[:-1]
         if overflow:
-            for i in range(deg):
-                nxt[i] -= overflow * poly[i]
-        cur = nxt[:deg]
-        table.append(tuple(cur))
+            cur = tuple(c - overflow * p for c, p in zip(cur, poly))
+        table.append(cur)
     return tuple(table)
 
 
-class Cyclotomic:
-    """An element of Q(zeta_N) in the reduced power basis."""
+@lru_cache(maxsize=None)
+def _trace_weights(n):
+    """Tr(zeta_n^k) / phi(n) for k < phi(n).  The trace is the sum of the
+    conjugates zeta_n^(jk), gcd(j, n) = 1; it is rational, so it is the sum
+    of their first coordinates."""
+    table = _power_table(n)
+    units = [j for j in range(1, n + 1) if gcd(j, n) == 1]
+    return tuple(
+        Fraction(sum(table[j * k % n][0] for j in units), len(units)) for k in range(len(units))
+    )
 
-    __slots__ = ("conductor", "coords")
+
+def _reduced(n, num, den):
+    """The element num / den (den > 0) of Q(zeta_n) with the common factor
+    cancelled."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = tuple(x // g for x in num)
+            den //= g
+    return Cyclotomic._of(n, num, den)
+
+
+class Cyclotomic:
+    """An element of Q(zeta_N) in the reduced power basis, stored as the
+    tuple of integer numerators `num` over the positive denominator `den`."""
+
+    __slots__ = ("conductor", "num", "den")
 
     def __init__(self, conductor, coords):
-        self.conductor = int(conductor)
-        coords = tuple(Fraction(c) for c in coords)
-        if len(coords) != phi(self.conductor):
+        n = int(conductor)
+        if n < 1:
+            raise CyclotomicError(f"conductor must be >= 1, got {n}")
+        coords = [c if type(c) is int else Fraction(c) for c in coords]
+        if len(coords) != phi(n):
             raise CyclotomicError(
-                f"expected {phi(self.conductor)} coordinates at conductor {self.conductor}, "
-                f"got {len(coords)}"
+                f"expected {phi(n)} coordinates at conductor {n}, got {len(coords)}"
             )
-        self.coords = coords
+        # the lcm of reduced denominators leaves the numerators in lowest terms
+        den = lcm(*{c.denominator for c in coords if type(c) is not int})
+        self.conductor = n
+        self.num = tuple(
+            c * den if type(c) is int else c.numerator * (den // c.denominator)
+            for c in coords
+        )
+        self.den = den
+
+    @classmethod
+    def _of(cls, conductor, num, den=1):
+        """Trusted constructor: `num` an int tuple of length phi(conductor)
+        over den > 0, in lowest terms."""
+        x = object.__new__(cls)
+        x.conductor = conductor
+        x.num = num
+        x.den = den
+        return x
+
+    @property
+    def coords(self):
+        """The coordinates as `Fraction`s."""
+        return tuple(Fraction(x, self.den) for x in self.num)
 
     @staticmethod
     def zero(conductor=1):
@@ -107,15 +158,14 @@ class Cyclotomic:
 
     @staticmethod
     def rational(q, conductor=1):
-        coords = [Fraction(0)] * phi(conductor)
-        coords[0] = Fraction(q)
-        return Cyclotomic(conductor, coords)
+        return Cyclotomic(conductor, [q] + [0] * (phi(conductor) - 1))
 
     @staticmethod
     def root(conductor, power=1):
         """zeta_conductor ** power."""
-        table = _power_table(conductor)
-        return Cyclotomic(conductor, table[power % conductor])
+        if conductor < 1:
+            raise CyclotomicError(f"conductor must be >= 1, got {conductor}")
+        return Cyclotomic._of(conductor, _power_table(conductor)[power % conductor])
 
     def lift(self, conductor):
         if conductor == self.conductor:
@@ -126,52 +176,59 @@ class Cyclotomic:
             )
         step = conductor // self.conductor
         table = _power_table(conductor)
-        out = [Fraction(0)] * phi(conductor)
-        for k, c in enumerate(self.coords):
+        out = [0] * phi(conductor)
+        for k, c in enumerate(self.num):
             if c:
                 for i, t in enumerate(table[k * step]):
-                    out[i] += c * t
-        return Cyclotomic(conductor, out)
+                    if t:
+                        out[i] += c * t
+        # Z[zeta_m] is a direct summand of Z[zeta_n]: still in lowest terms
+        return Cyclotomic._of(conductor, tuple(out), self.den)
 
     def _common(self, other):
         if not isinstance(other, Cyclotomic):
             other = Cyclotomic.rational(other)
-        n = self.conductor * other.conductor // gcd(self.conductor, other.conductor)
+        n = lcm(self.conductor, other.conductor)
         return self.lift(n), other.lift(n)
 
     def __add__(self, other):
         a, b = self._common(other)
-        return Cyclotomic(a.conductor, [x + y for x, y in zip(a.coords, b.coords)])
+        if a.den == b.den:
+            return _reduced(a.conductor, tuple(x + y for x, y in zip(a.num, b.num)), a.den)
+        da, db = a.den, b.den
+        return _reduced(
+            a.conductor, tuple(x * db + y * da for x, y in zip(a.num, b.num)), da * db
+        )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.conductor, [-x for x in self.coords])
+        return Cyclotomic._of(self.conductor, tuple(-x for x in self.num), self.den)
 
     def __sub__(self, other):
-        a, b = self._common(other)
-        return Cyclotomic(a.conductor, [x - y for x, y in zip(a.coords, b.coords)])
+        return self + -other
 
     def __mul__(self, other):
         a, b = self._common(other)
         n = a.conductor
-        if all(x == 0 for x in a.coords[1:]):
-            return Cyclotomic(n, [a.coords[0] * y for y in b.coords])
-        if all(y == 0 for y in b.coords[1:]):
-            return Cyclotomic(n, [x * b.coords[0] for x in a.coords])
+        den = a.den * b.den
+        if not any(a.num[1:]):
+            x = a.num[0]
+            return _reduced(n, tuple(x * y for y in b.num), den)
+        if not any(b.num[1:]):
+            y = b.num[0]
+            return _reduced(n, tuple(x * y for x in a.num), den)
         table = _power_table(n)
-        out = [Fraction(0)] * phi(n)
-        for i, x in enumerate(a.coords):
-            if x == 0:
-                continue
-            for j, y in enumerate(b.coords):
-                if y == 0:
-                    continue
-                xy = x * y
-                for k, t in enumerate(table[i + j]):
-                    if t:
-                        out[k] += xy * t
-        return Cyclotomic(n, out)
+        out = [0] * phi(n)
+        for i, x in enumerate(a.num):
+            if x:
+                for j, y in enumerate(b.num):
+                    if y:
+                        xy = x * y
+                        for k, t in enumerate(table[i + j]):
+                            if t:
+                                out[k] += xy * t
+        return _reduced(n, tuple(out), den)
 
     __rmul__ = __mul__
 
@@ -181,24 +238,60 @@ class Cyclotomic:
         if not isinstance(other, Cyclotomic):
             return NotImplemented
         a, b = self._common(other)
-        return a.coords == b.coords
+        return a.den == b.den and a.num == b.num
 
     def __hash__(self):
-        return hash((self.conductor, self.coords))
+        # Tr / phi(N) does not depend on the conductor and is the value of a
+        # rational element, so equal elements and equal rationals hash alike
+        weights = _trace_weights(self.conductor)
+        return hash(sum((w * x for w, x in zip(weights, self.num) if x), Fraction(0)) / self.den)
 
     def is_zero(self):
-        return all(c == 0 for c in self.coords)
+        return not any(self.num)
 
     def is_rational(self):
-        return all(c == 0 for c in self.coords[1:])
+        return not any(self.num[1:])
 
     def as_rational(self):
         if not self.is_rational():
             raise CyclotomicError(f"{self} is not rational")
-        return self.coords[0]
+        return Fraction(self.num[0], self.den)
 
     def __repr__(self):
         return f"Cyclotomic({format_cyclotomic(self)})"
+
+
+def weighted_sum(terms, den=1):
+    """(1/den) * sum of w * a * b over the (w, a, b) in `terms`, for int
+    weights w and `Cyclotomic` a, b, at the lcm conductor N of all of them.
+
+    Each product is summed as exponents of zeta_N (below 2N) into one
+    integer accumulator over the lcm of the coordinate denominators; the
+    accumulator is reduced modulo Phi_N once, at the end.
+    """
+    terms = list(terms)
+    n = lcm(1, *(x.conductor for _w, a, b in terms for x in (a, b)))
+    common = lcm(1, *(a.den * b.den for _w, a, b in terms))
+    acc = [0] * (2 * n)
+    for w, a, b in terms:
+        if not w:
+            continue
+        sa, sb = n // a.conductor, n // b.conductor
+        scale = w * (common // (a.den * b.den))
+        for i, x in enumerate(a.num):
+            if x:
+                xs, ei = x * scale, i * sa
+                for j, y in enumerate(b.num):
+                    if y:
+                        acc[ei + j * sb] += xs * y
+    table = _power_table(n)
+    out = [0] * phi(n)
+    for e, c in enumerate(acc):
+        if c:
+            for k, t in enumerate(table[e]):
+                if t:
+                    out[k] += c * t
+    return _reduced(n, tuple(out), common * den)
 
 
 def _format_term(q, n, k):

@@ -151,7 +151,6 @@ class EICategory:
         self.kind = kind
         self.class_table = subgroup_conjugacy_classes(G)
         self.objects = tuple(c.rep for c in self.class_table.classes)
-        self._object_index = {o.elems: i for i, o in enumerate(self.objects)}
         mors_raw = sub_mors_raw if kind == "sub" else or_mors_raw
         hom_sets = (
             (i, j, mors_raw(G, src, dst))
@@ -176,9 +175,6 @@ class EICategory:
         )
         self._aut = {}
         self.associativity_checks = 0  # counted by validate
-
-    def object_index(self, sub):
-        return self._object_index[sub.elems]
 
     def canon_mor(self, i, j, rep):
         G = self.group

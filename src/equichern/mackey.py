@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .chartab import character_table_for_subgroup
-from .cyclotomic import Cyclotomic
+from .cyclotomic import weighted_sum
 from .data import bundled_chartabs
 from .eicat import CatModule, _cached_centralizer, build_sub_category, nu_map
 from .groups import (
@@ -669,18 +669,18 @@ def repring_mackey(G, tables=None):
         li, t_l = ct.transport(L)
         lview = as_group(L)
         l_classes = element_conjugacy_classes(lview.group)
+        sizes = [len(cls.members) for cls in l_classes]
+        ys = [lview.to_parent[cls.rep] for cls in l_classes]
+        a_rows = [
+            [table_r.value(ii, view_r.from_parent[y]) for y in ys] for ii in range(dims[j])
+        ]
         rows = dims[li]
         data = []
         for jj in range(rows):
+            b = [value_on_subgroup(li, t_l, jj, G.inv(y)) for y in ys]
             row = []
-            for ii in range(dims[j]):
-                total = Cyclotomic.zero(1)
-                for cls in l_classes:
-                    y = lview.to_parent[cls.rep]
-                    a = table_r.value(ii, view_r.from_parent[y])
-                    b = value_on_subgroup(li, t_l, jj, G.inv(y))
-                    total = total + a * b * Cyclotomic.rational(len(cls.members))
-                total = total * Cyclotomic.rational(Fraction(1, L.order))
+            for a in a_rows:
+                total = weighted_sum(zip(sizes, a, b), L.order)
                 if not total.is_rational():
                     raise MackeyError(
                         f"non-rational multiplicity restricting to {L.literal()}"

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import dataclasses
 import re
+from fractions import Fraction
 
 import pytest
 
 from equichern.chartab import (
     ChartabError,
+    Irreducible,
     abelian_character_table,
     character_table_for_subgroup,
     format_character_table,
@@ -122,6 +125,29 @@ def test_restriction_to_self_is_identity(s3):
     for i in range(3):
         col = res.column(i)
         assert sorted(col) == [0, 0, 1]
+
+
+def _scaled_first_character(t, c):
+    """The table with its first irreducible multiplied by c, unvalidated."""
+    first = t.irreducibles[0]
+    scaled = Irreducible(first.name, tuple(v * c for v in first.values))
+    return dataclasses.replace(t, irreducibles=(scaled,) + t.irreducibles[1:])
+
+
+@pytest.mark.parametrize(
+    "factor,message",
+    [
+        (-1, "restriction multiplicity -1 at (0,0) is not a non-negative integer"),
+        (Fraction(1, 2), "restriction multiplicity 1/2 at (0,0) is not a non-negative integer"),
+        (Cyclotomic.root(3), "non-rational restriction multiplicity at (0,0)"),
+    ],
+)
+def test_restriction_matrix_rejects_bad_multiplicities(s3, factor, message):
+    t = _scaled_first_character(_table(s3, "s3"), factor)
+    c3 = generated_subgroup(s3, [3])
+    t3 = character_table_for_subgroup(c3, bundled_chartabs())
+    with pytest.raises(ChartabError, match=re.escape(message)):
+        restriction_matrix(t, t3, c3)
 
 
 def test_induction_matrix_is_transpose_with_degree_check(s3):

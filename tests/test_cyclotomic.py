@@ -6,7 +6,9 @@ import random
 from fractions import Fraction
 from math import lcm
 
-from equichern.cyclotomic import Cyclotomic, phi
+import pytest
+
+from equichern.cyclotomic import Cyclotomic, CyclotomicError, phi
 
 from oracles import FractionCyclotomic
 
@@ -67,3 +69,32 @@ def test_arithmetic_matches_fraction_reference():
             ref = ref + FractionCyclotomic.of(Cyclotomic.root(n, k))
         assert _same(total, ref) and total.is_rational()
         assert total == (1 if n == 1 else 0)
+
+
+def test_hash_agrees_with_equality():
+    one, minus_one = Cyclotomic.rational(1), Cyclotomic.rational(-1)
+    assert one == Cyclotomic.root(3, 0) and Cyclotomic.root(4, 2) == -1
+    assert len({one, Cyclotomic.root(3, 0), Cyclotomic.root(4, 0)}) == 1
+    assert len({minus_one, Cyclotomic.root(4, 2), Cyclotomic.root(6, 3)}) == 1
+    for q in (0, 1, -1, Fraction(1, 2), Fraction(-7, 3)):
+        for n in (1, 3, 4, 8, 12):
+            x = Cyclotomic.rational(q, n)
+            assert x == q and hash(x) == hash(q)
+    # equal irrational elements at different conductors
+    for n in (3, 4, 5, 8, 9, 12):
+        for k in range(n):
+            x = Cyclotomic.root(n, k) * Cyclotomic.rational(Fraction(1, 2)) + 3
+            assert hash(x.lift(2 * n)) == hash(x) and len({x, x.lift(6 * n)}) == 1
+    assert len({Cyclotomic.root(3), Cyclotomic.root(3, 2), Cyclotomic.root(6)}) == 3
+
+
+@pytest.mark.parametrize("conductor", [0, -4])
+def test_constructor_rejects_conductor_below_one(conductor):
+    with pytest.raises(CyclotomicError, match="conductor must be >= 1"):
+        Cyclotomic(conductor, ())
+    with pytest.raises(CyclotomicError, match="conductor must be >= 1"):
+        Cyclotomic(conductor, [])
+    with pytest.raises(CyclotomicError, match="conductor must be >= 1"):
+        Cyclotomic.rational(1, conductor)
+    with pytest.raises(CyclotomicError, match="conductor must be >= 1"):
+        Cyclotomic.root(conductor)

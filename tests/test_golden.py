@@ -29,6 +29,7 @@ from equichern.gcw import builtin_examples, parse_gcw
 from equichern.groups import FiniteGroup, format_group
 from equichern.mackey import builtin_mackey, mackey_to_sub_module, nu_of_mackey
 
+import oracles
 from generators import direct_product, permutation_closure
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -47,6 +48,9 @@ FIXTURE_GROUPS = {
     "s4xz3": lambda: direct_product(permutation_closure(S4_GENS), permutation_closure([(1, 2, 0)])),
 }
 NU_GROUPS = ("s3", "d4", "q8")
+# chern of a point with repring coefficients: character values outside Q (a4)
+# and a group past order 8 (s4)
+REPRING_POINT_GROUPS = ("a4", "s4")
 
 
 def _group_arg(group):
@@ -87,6 +91,11 @@ def _cases():
         "mackey_s5_burnside.txt",
         ["mackey", "--group", _group_arg("s5"), "--coeff", "burnside", "--cap", "128"],
     ))
+    for group in REPRING_POINT_GROUPS:
+        cases.append((
+            f"chern_point_{group}_repring.txt",
+            ["chern", "--group", group, "--space", "point", "--coeff", "repring"],
+        ))
     cases.append((
         "chern_point_s4xz3_burnside.txt",
         ["chern", "--group", _group_arg("s4xz3"), "--space", "point", "--coeff", "burnside", "--cap", "128"],
@@ -163,6 +172,16 @@ def test_golden_report(name, argv):
     code, out = _run(argv)
     assert code == 0
     assert out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("group", REPRING_POINT_GROUPS)
+def test_repring_point_degree_zero_counts_conjugacy_classes(group):
+    """H^0 of a point with repring coefficients is R(G) tensor Q, whose
+    dimension is the number of conjugacy classes of G: 4 for A4, 5 for S4."""
+    classes = len(oracles.brute_element_classes(bundled_group(group).table))
+    assert classes == {"a4": 4, "s4": 5}[group]
+    row = (GOLDEN / f"chern_point_{group}_repring.txt").read_text(encoding="utf-8").splitlines()[1]
+    assert row == f"n=0 bredon={classes} chern-target={classes} ok"
 
 
 @pytest.mark.parametrize("group", sorted(FIXTURE_GROUPS))

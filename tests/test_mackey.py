@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
+
+from equichern.chartab import Irreducible
 
 from equichern.eicat import build_sub_category, splitting_T
 from equichern.groups import (
@@ -195,6 +199,28 @@ def test_repring_incl_res_matches_fraction_reference(groups):
                 if set(L.elems) <= rep:
                     got = M._incl_res_fn(L, j)
                     assert got.data == oracles.reference_repring_incl_res(G, L, j), (name, j)
+
+
+def test_repring_rejects_a_negative_multiplicity(s3, monkeypatch):
+    """A supplied table whose trivial character of S3 is negated restricts
+    to the trivial subgroup with multiplicity -1."""
+    from equichern import mackey
+
+    supplied = mackey.character_table_for_subgroup
+
+    def negated_top(sub, tables):
+        t = supplied(sub, tables)
+        if sub.order != s3.order:
+            return t
+        first = t.irreducibles[0]
+        negated = Irreducible(first.name, tuple(-v for v in first.values))
+        return dataclasses.replace(t, irreducibles=(negated,) + t.irreducibles[1:])
+
+    monkeypatch.setattr(mackey, "character_table_for_subgroup", negated_top)
+    M = repring_mackey(s3)
+    top = next(j for j, c in enumerate(M.classes.classes) if c.rep.order == s3.order)
+    with pytest.raises(MackeyError, match="multiplicity -1 restricting to .* is not a non-negative"):
+        M._incl_res_fn(generated_subgroup(s3, []), top)
 
 
 def test_mackey_to_sub_module(s3):
