@@ -244,7 +244,8 @@ class Cyclotomic:
         # Tr / phi(N) does not depend on the conductor and is the value of a
         # rational element, so equal elements and equal rationals hash alike
         weights = _trace_weights(self.conductor)
-        return hash(sum((w * x for w, x in zip(weights, self.num) if x), Fraction(0)) / self.den)
+        trace = sum((w * x for w, x in zip(weights, self.num) if x), Fraction(0))
+        return hash(trace / self.den)
 
     def is_zero(self):
         return not any(self.num)
