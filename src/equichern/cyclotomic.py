@@ -211,13 +211,6 @@ class Cyclotomic:
     def __mul__(self, other):
         a, b = self._common(other)
         n = a.conductor
-        den = a.den * b.den
-        if not any(a.num[1:]):
-            x = a.num[0]
-            return _reduced(n, tuple(x * y for y in b.num), den)
-        if not any(b.num[1:]):
-            y = b.num[0]
-            return _reduced(n, tuple(x * y for x in a.num), den)
         table = _power_table(n)
         out = [0] * phi(n)
         for i, x in enumerate(a.num):
@@ -228,7 +221,7 @@ class Cyclotomic:
                         for k, t in enumerate(table[i + j]):
                             if t:
                                 out[k] += xy * t
-        return _reduced(n, tuple(out), den)
+        return _reduced(n, tuple(out), a.den * b.den)
 
     __rmul__ = __mul__
 

@@ -219,7 +219,7 @@ def test_repring_rejects_a_negative_multiplicity(s3, monkeypatch):
     monkeypatch.setattr(mackey, "character_table_for_subgroup", negated_top)
     M = repring_mackey(s3)
     top = next(j for j, c in enumerate(M.classes.classes) if c.rep.order == s3.order)
-    with pytest.raises(MackeyError, match="multiplicity -1 restricting to .* is not a non-negative"):
+    with pytest.raises(MackeyError, match="multiplicity -1 restricting to .* not a non-negative"):
         M._incl_res_fn(generated_subgroup(s3, []), top)
 
 
